@@ -17,6 +17,7 @@ from pathlib import Path
 from . import conformance, engine, formats
 from .model import InstanceState
 from .registry import RegistryError, load_registry
+from .selection import aggregate_qos
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,22 +72,15 @@ def _load_inputs(args):
     return workflow, registry, requests
 
 
-def _aggregate_of(instance) -> tuple[int, int]:
-    bound = [aa.ws.advertised_qos for aa in instance.activities if aa.ws.bound]
-    if not bound:
-        return (0, 0)
-    return (max(q.response_time_ms for q in bound), sum(q.cost_cents for q in bound))
-
-
 def _print_outcomes(trace) -> None:
     for _, instance in sorted(trace.final.instances()):
         cid = instance.client_id
         if instance.state is InstanceState.COMPLETED:
-            worst, total = _aggregate_of(instance)
+            qos = aggregate_qos([aa.ws.advertised_qos for aa in instance.activities if aa.ws.bound])
             budget = instance.request.qos
             print(
-                f"{cid}: Completed qos=({worst}ms<={budget.response_time_ms}ms, "
-                f"{total}c<={budget.cost_cents}c)"
+                f"{cid}: Completed qos=({qos.response_time_ms}ms<={budget.response_time_ms}ms, "
+                f"{qos.cost_cents}c<={budget.cost_cents}c)"
             )
         else:
             print(f"{cid}: {instance.state.value}")

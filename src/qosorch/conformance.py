@@ -40,9 +40,11 @@ from .model import (
     Trace,
     WSOIM_ADDRESS,
     WorkflowDef,
+    WsoInstance,
     activity_state_can_follow,
     configuration_errors,
     get_wsoi,
+    instance_address,
     instance_state_can_follow,
     message_schema_error,
 )
@@ -144,14 +146,6 @@ def _state_domain_errors(config: Configuration) -> list[str]:
     return errors
 
 
-def _all_messages(transition) -> list[Message]:
-    return (
-        list(transition.source.undelivered)
-        + [transition.message]
-        + list(transition.emitted)
-    )
-
-
 def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
     """Check one trace against the transition rules by replaying every step.
 
@@ -174,7 +168,10 @@ def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
             note(P_STATE_DOMAIN, index, error)
         for error in configuration_errors(transition.target):
             note(P_MESSAGE_VOCABULARY, index, error)
-        for message in _all_messages(transition):
+        # The source pool was checked as the previous target (or as the
+        # initial configuration) and the consumed message must be in it, so
+        # only the emitted messages are new here.
+        for message in transition.emitted:
             schema_error = message_schema_error(message)
             if schema_error is not None:
                 note(P_MESSAGE_VOCABULARY, index, schema_error)
@@ -291,13 +288,14 @@ def _check_creation(trace, note) -> None:
 
 
 def _check_constancy_and_monotonicity(trace, note) -> None:
-    configs = trace.configurations()
-    for index in range(len(trace.steps)):
-        before, after = configs[index], configs[index + 1]
-        for _, prior in before.instances():
+    for index, transition in enumerate(trace.steps):
+        after = dict(transition.target.actors)
+        for _, prior in transition.source.instances():
             cid = prior.client_id
-            current = get_wsoi(after, cid)
-            if current is None:
+            current = after.get(instance_address(cid))
+            if current is prior:
+                continue  # an unchanged snapshot is shared, not copied
+            if not isinstance(current, WsoInstance):
                 note(P_REQUEST_CONSTANCY, index, f"instance {cid!r} disappeared")
                 continue
             if current.request != prior.request:

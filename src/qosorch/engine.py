@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 from typing import Callable, Iterator, Sequence
 
 from .model import (
@@ -87,7 +88,7 @@ class StateSpaceLimitError(EngineError):
 
 
 def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Registry) -> AllocationResult:
-    return qos_allocate(request.qos, workflow.activities, registry.candidates())
+    return qos_allocate(request.qos, workflow.activities, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +225,16 @@ def deliverable(config: Configuration) -> list[Message]:
     return ready
 
 
+def _schedulable(config: Configuration) -> list[Message]:
+    """Deliverable messages in deterministic order.  Schedulers pick from
+    these without computing rules; :func:`step` computes the one it fires."""
+    return sorted(deliverable(config), key=Message.sort_key)
+
+
 def enabled(config: Configuration) -> list[tuple[Message, RuleId]]:
     """Every deliverable message paired with the unique rule it would fire,
     in deterministic order."""
-    pairs = [(message, rule_for(config, message)) for message in deliverable(config)]
-    pairs.sort(key=lambda pair: pair[0].sort_key())
-    return pairs
+    return [(message, rule_for(config, message)) for message in _schedulable(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +316,7 @@ def _apply_r5(config: Configuration, message: Message, selector: Selector):
 
 def _apply_r2a(config: Configuration, message: Message, selector: Selector):
     instance = get_wsoi(config, message.client_id)
-    denied = WsoInstance(
-        request=instance.request,
-        state=InstanceState.DENIED,
-        activities=instance.activities,
-        output_parameters=None,
-    )
+    denied = replace(instance, state=InstanceState.DENIED, output_parameters=None)
     reply = Message(
         kind=MessageKind.DENIED_REPLY,
         sender=instance_address(message.client_id),
@@ -388,12 +388,7 @@ def _apply_r2b(config: Configuration, message: Message, selector: Selector):
 
 def _apply_r3(config: Configuration, message: Message, selector: Selector):
     instance = get_wsoi(config, message.client_id)
-    servicing = WsoInstance(
-        request=instance.request,
-        state=InstanceState.SERVICING,
-        activities=instance.activities,
-        output_parameters=None,
-    )
+    servicing = replace(instance, state=InstanceState.SERVICING, output_parameters=None)
     return {instance_address(message.client_id): servicing}, []
 
 
@@ -402,12 +397,7 @@ def _apply_r4a(config: Configuration, message: Message, selector: Selector):
     outputs = map_output_parameters(
         {aa.aa_name: aa.output_parameters for aa in instance.activities}
     )
-    completed = WsoInstance(
-        request=instance.request,
-        state=InstanceState.COMPLETED,
-        activities=instance.activities,
-        output_parameters=outputs,
-    )
+    completed = replace(instance, state=InstanceState.COMPLETED, output_parameters=outputs)
     reply = Message(
         kind=MessageKind.COMPLETED_REPLY,
         sender=instance_address(message.client_id),
@@ -427,15 +417,7 @@ def _apply_r4b(config: Configuration, message: Message, selector: Selector):
 def _apply_r6(config: Configuration, message: Message, selector: Selector):
     instance = get_wsoi(config, message.client_id)
     aa = get_aa(instance, address_aa_name(message.receiver))
-    invoking = ActivityActor(
-        aa_name=aa.aa_name,
-        wsoi_id=aa.wsoi_id,
-        qos=aa.qos,
-        input_parameters=aa.input_parameters,
-        output_parameters=None,
-        state=ActivityState.INVOKING,
-        ws=aa.ws,
-    )
+    invoking = replace(aa, output_parameters=None, state=ActivityState.INVOKING)
     cid = message.client_id
     ack = Message(
         kind=MessageKind.INVOKE_ACK,
@@ -456,15 +438,7 @@ def _apply_r6(config: Configuration, message: Message, selector: Selector):
 def _apply_r7(config: Configuration, message: Message, selector: Selector):
     instance = get_wsoi(config, message.client_id)
     aa = get_aa(instance, address_aa_name(message.receiver))
-    returned = ActivityActor(
-        aa_name=aa.aa_name,
-        wsoi_id=aa.wsoi_id,
-        qos=aa.qos,
-        input_parameters=aa.input_parameters,
-        output_parameters=message.params,
-        state=ActivityState.RETURNED,
-        ws=aa.ws,
-    )
+    returned = replace(aa, output_parameters=message.params, state=ActivityState.RETURNED)
     cid = message.client_id
     notify = Message(
         kind=MessageKind.NOTIFY,
@@ -620,11 +594,10 @@ def run(
     config = initial
     steps: list[Transition] = []
     while True:
-        options = enabled(config)
+        options = _schedulable(config)
         if not options:
             break
-        message, _ = options[rng.randrange(len(options))]
-        transition = step(config, message, selector=selector)
+        transition = step(config, options[rng.randrange(len(options))], selector=selector)
         steps.append(transition)
         config = transition.target
     _check_terminal(config)
@@ -660,25 +633,22 @@ def explore(
     # Depth-first search with an explicit stack; prefix mirrors the path to
     # the configuration on top of the stack.
     prefix: list[Transition] = []
-    options = enabled(initial)
+    options = _schedulable(initial)
     if not options:
         collect(prefix)
         return tuple(collected.values())
-    stack: list[tuple[Configuration, Iterator[tuple[Message, RuleId]]]] = [
-        (initial, iter(options))
-    ]
+    stack: list[tuple[Configuration, Iterator[Message]]] = [(initial, iter(options))]
     while stack:
         config, pending = stack[-1]
-        entry = next(pending, None)
-        if entry is None:
+        message = next(pending, None)
+        if message is None:
             stack.pop()
             if prefix:
                 prefix.pop()
             continue
-        message, _ = entry
         transition = step(config, message, selector=selector)
         prefix.append(transition)
-        child_options = enabled(transition.target)
+        child_options = _schedulable(transition.target)
         if not child_options:
             collect(prefix)
             prefix.pop()

@@ -400,25 +400,25 @@ def trace_to_records(trace: Trace, trace_index: int = 0) -> list[dict]:
 def _apply_transition_record(config: Configuration, record: dict) -> Transition:
     consumed = message_from_record(record["consumed"])
     emitted = tuple(message_from_record(item) for item in record["emitted"])
-    try:
-        rule = RuleId(record["rule"])
-    except ValueError as exc:
-        raise FormatError(f"unknown rule {record.get('rule')!r}") from exc
-
-    actors = dict(config.actors)
+    rule = RuleId(record["rule"])
+    # Unchanged actors keep their (address, snapshot) pairs from the source,
+    # so consecutive configurations share them.
+    updated: dict[str, object] = {}  # address -> snapshot, None when removed
     for change in record["changed"]:
         if change["after"] is None:
-            actors.pop(change["address"], None)
+            updated[change["address"]] = None
         else:
             address, snapshot = actor_from_record(change["after"])
-            actors[address] = snapshot
+            updated[address] = snapshot
+    actors = [pair for pair in config.actors if pair[0] not in updated]
+    actors.extend(pair for pair in updated.items() if pair[1] is not None)
     pool = list(config.undelivered)
     if consumed in pool:
         pool.remove(consumed)
     for message in emitted:
         if address_role(message.receiver) is not Role.CLIENT:
             pool.append(message)
-    target = Configuration(actors=tuple(actors.items()), undelivered=tuple(pool))
+    target = Configuration(actors=tuple(actors), undelivered=tuple(pool))
     return Transition(source=config, rule=rule, message=consumed, target=target, emitted=emitted)
 
 
@@ -434,6 +434,8 @@ def traces_from_records(records: Sequence[dict]) -> list[Trace]:
             index = record.get("trace", 0)
             if index not in by_trace:
                 raise FormatError(f"transition for unknown trace {index}")
+            if not isinstance(record.get("index"), int):
+                raise FormatError(f"trace {index}: transition record without an integer index")
             by_trace[index]["transitions"].append(record)
 
     traces = []
@@ -448,8 +450,11 @@ def traces_from_records(records: Sequence[dict]) -> list[Trace]:
                 raise FormatError(
                     f"trace {index}: expected transition {expected}, got {record['index']}"
                 )
+            try:
+                transition = _apply_transition_record(config, record)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"trace {index}, transition {expected}: {exc}") from exc
             expected += 1
-            transition = _apply_transition_record(config, record)
             steps.append(transition)
             config = transition.target
         traces.append(Trace(initial=initial, steps=tuple(steps)))
@@ -464,7 +469,11 @@ def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
 
 
 def read_traces(path: str | Path) -> list[Trace]:
-    return traces_from_records(_read_records(path))
+    records = _read_records(path)
+    try:
+        return traces_from_records(records)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

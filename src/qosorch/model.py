@@ -595,19 +595,19 @@ def undelivered_requests(config: Configuration) -> list[Message]:
     return sorted(pending, key=lambda m: m.client_id)
 
 
-def _address_resolvable(config: Configuration, address: str) -> bool:
+def _address_resolvable(actors: Mapping[str, ActorSnapshot], address: str) -> bool:
     role = address_role(address)
     if role is None:
         return False
     if role in (Role.MANAGER, Role.SELECTOR, Role.CLIENT, Role.INSTANCE):
-        return config.actor(address) is not None
+        return address in actors
     # Activity and service addresses resolve through the owning instance.
     client_id = address_client_id(address)
     aa_name = address_aa_name(address)
     if client_id is None or aa_name is None:
         return False
-    instance = get_wsoi(config, client_id)
-    if instance is None or aa_name not in instance.activity_names():
+    instance = actors.get(instance_address(client_id))
+    if not isinstance(instance, WsoInstance) or aa_name not in instance.activity_names():
         return False
     if role is Role.SERVICE:
         return get_aa(instance, aa_name).ws.bound
@@ -619,6 +619,7 @@ def configuration_errors(config: Configuration) -> list[str]:
     configuration.  Instance lifecycle constraints are a separate concern;
     see :func:`instance_errors`."""
     errors: list[str] = []
+    actors = dict(config.actors)
     for address, snapshot in config.actors:
         role = address_role(address)
         expected = _ROLE_SNAPSHOT_TYPES.get(role) if role is not None else None
@@ -634,7 +635,7 @@ def configuration_errors(config: Configuration) -> list[str]:
         if schema_error is not None:
             errors.append(schema_error)
         for address in (message.sender, message.receiver):
-            if not _address_resolvable(config, address):
+            if not _address_resolvable(actors, address):
                 errors.append(
                     f"{message.kind.value} references unresolvable address {address!r}"
                 )

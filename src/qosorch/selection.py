@@ -12,15 +12,13 @@ the requested budget, componentwise and inclusively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .model import Params, QoSSpec, freeze_params, params_dict
 
-# Above this many candidate combinations the selector switches from exact
-# enumeration to a greedy minimum-cost pick with a feasibility re-check.
-EXHAUSTIVE_LIMIT = 4096
+if TYPE_CHECKING:
+    from .registry import Registry
 
 
 class UnknownOntologyError(LookupError):
@@ -77,88 +75,53 @@ def aggregate_qos(bindings: Sequence[QoSSpec]) -> QoSSpec:
     )
 
 
-def _grouped(candidates: Sequence[CandidateService]) -> dict[str, list[CandidateService]]:
-    groups: dict[str, list[CandidateService]] = {}
-    for candidate in candidates:
-        groups.setdefault(candidate.ontology, []).append(candidate)
-    for ontology in groups:
-        groups[ontology].sort(key=lambda c: c.candidate_id)
-    return groups
-
-
 def qos_allocate(
     request_qos: QoSSpec,
     activities: Sequence[tuple[str, str]],
-    registry: Sequence[CandidateService],
+    registry: Registry,
 ) -> AllocationResult:
     """Pick one candidate per (activity, ontology) pair within the budget.
 
-    Exact search is used while the combination count stays at desk scale
-    (<= EXHAUSTIVE_LIMIT); ties break toward minimal total cost, then minimal
-    worst response time, then lexicographic candidate ids, so the result is
-    deterministic.  Beyond the limit a greedy minimum-cost pick per activity
-    is used and re-checked for feasibility, denying on failure.
+    The pick is exact and deterministic: among all assignments that fit the
+    budget it minimises total cost, then worst response time, then the tuple
+    of candidate ids.  Aggregate cost is a sum and aggregate time a max, so
+    this needs no search.  The minimum cost is the sum of each slot's
+    cheapest candidate within the time bound.  Sweeping thresholds upward,
+    the total reaches that minimum exactly when every slot has reached its
+    own cheapest cost, so the least worst time is the largest of the slots'
+    fastest cheapest response times.  Below that threshold the slots are
+    independent, and the smallest id tuple takes each slot's smallest id.
+    The cost is linear in the number of candidates.
 
     Unknown ontologies are an error, distinct from denial: denial means the
     ontologies are known but no combination fits the budget.
     """
     if not activities:
         raise ValueError("at least one activity is required")
-    groups = _grouped(registry)
-    slots: list[list[CandidateService]] = []
+    cheapest: list[list[CandidateService]] = []
     for aa_name, ontology in activities:
-        if ontology not in groups:
+        group = registry.query(ontology)
+        if not group:
             raise UnknownOntologyError(
                 f"activity {aa_name!r} requires ontology {ontology!r} "
                 f"with no registered candidates"
             )
-        slots.append(groups[ontology])
-
-    combinations = 1
-    for slot in slots:
-        combinations *= len(slot)
-
-    if combinations <= EXHAUSTIVE_LIMIT:
-        chosen = _allocate_exhaustive(request_qos, slots)
-    else:
-        chosen = _allocate_greedy(request_qos, slots)
-    if chosen is None:
+        fast = [c for c in group if c.qos.response_time_ms <= request_qos.response_time_ms]
+        low = min((c.qos.cost_cents for c in fast), default=None)
+        cheapest.append([c for c in fast if c.qos.cost_cents == low])
+    if not all(cheapest) or (
+        sum(slot[0].qos.cost_cents for slot in cheapest) > request_qos.cost_cents
+    ):
         return AllocationResult(granted=False)
-    per_activity = tuple(
-        (aa_name, candidate, candidate.qos)
-        for (aa_name, _), candidate in zip(activities, chosen)
-    )
-    return AllocationResult(granted=True, per_activity=per_activity)
-
-
-def _allocate_exhaustive(
-    request_qos: QoSSpec, slots: Sequence[Sequence[CandidateService]]
-) -> tuple[CandidateService, ...] | None:
-    best: tuple[tuple[int, int, tuple[str, ...]], tuple[CandidateService, ...]] | None = None
-    for combo in itertools.product(*slots):
-        aggregate = aggregate_qos([c.qos for c in combo])
-        if not aggregate.fits_within(request_qos):
-            continue
-        key = (
-            aggregate.cost_cents,
-            aggregate.response_time_ms,
-            tuple(c.candidate_id for c in combo),
+    worst = max(min(c.qos.response_time_ms for c in slot) for slot in cheapest)
+    per_activity = []
+    for (aa_name, _), slot in zip(activities, cheapest):
+        candidate = min(
+            (c for c in slot if c.qos.response_time_ms <= worst),
+            key=lambda c: c.candidate_id,
         )
-        if best is None or key < best[0]:
-            best = (key, combo)
-    return None if best is None else best[1]
-
-
-def _allocate_greedy(
-    request_qos: QoSSpec, slots: Sequence[Sequence[CandidateService]]
-) -> tuple[CandidateService, ...] | None:
-    chosen = tuple(
-        min(slot, key=lambda c: (c.qos.cost_cents, c.qos.response_time_ms, c.candidate_id))
-        for slot in slots
-    )
-    if aggregate_qos([c.qos for c in chosen]).fits_within(request_qos):
-        return chosen
-    return None
+        per_activity.append((aa_name, candidate, candidate.qos))
+    return AllocationResult(granted=True, per_activity=tuple(per_activity))
 
 
 def map_input_parameters(

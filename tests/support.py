@@ -57,6 +57,16 @@ def oracle_min_cost(budget: QoSSpec, slots) -> int | None:
     return min(costs) if costs else None
 
 
+def oracle_best(budget: QoSSpec, slots):
+    """The feasible combination with the least (total cost, worst time,
+    candidate ids) key, or None when nothing fits."""
+    keyed = [
+        ((total, worst, tuple(c.candidate_id for c in combo)), combo)
+        for combo, (total, worst) in oracle_feasible_combos(budget, slots)
+    ]
+    return min(keyed, key=lambda pair: pair[0])[1] if keyed else None
+
+
 # ---------------------------------------------------------------------------
 # Interleaving oracle: count linear extensions of the per-request event posets.
 #

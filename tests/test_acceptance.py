@@ -24,6 +24,7 @@ from qosorch.model import (
     RuleId,
     get_wsoi,
 )
+from qosorch.registry import Registry
 from qosorch.selection import CandidateService, aggregate_qos, qos_allocate
 
 
@@ -92,7 +93,7 @@ def test_criterion_2_selector_oracle_equivalence():
                 )
         budget = QoSSpec(rng.randint(0, 250), rng.randint(0, 80))
         slots = [[c for c in registry if c.ontology == o] for _, o in activities]
-        result = qos_allocate(budget, activities, registry)
+        result = qos_allocate(budget, activities, Registry.from_candidates(registry))
         feasible = support.oracle_any_feasible(budget, slots)
         if result.granted != feasible:
             problems.append(f"case {case}: decision mismatch")

@@ -113,6 +113,20 @@ class TestCheck:
         path.write_text("{broken\n", encoding="utf-8")
         assert invoke(["check", str(path)]) == cli.EXIT_INPUT
 
+    def test_malformed_transition_record_exits_one(self, golden_dir, tmp_path, capsys):
+        lines = (golden_dir / "bookstore_seed0.jsonl").read_text().splitlines()
+        record = json.loads(lines[3])
+        assert record["record"] == "transition"
+        record["changed"] = 5
+        lines[3] = json.dumps(record, sort_keys=True)
+        path = tmp_path / "corrupted.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        assert invoke(["check", str(path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "trace 0, transition 2" in err
+
     def test_empty_trace_file_is_vacuously_ok(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -3,11 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from qosorch.model import QoSSpec, freeze_params
+from qosorch import engine
+from qosorch.conformance import check_pyramid
+from qosorch.model import QoSSpec, WorkflowDef, WsoRequest, freeze_params
+from qosorch.registry import Registry
 from qosorch.selection import (
     AllocationResult,
     CandidateService,
-    EXHAUSTIVE_LIMIT,
     IncompleteOutputsError,
     UnknownOntologyError,
     aggregate_qos,
@@ -43,19 +45,20 @@ def cand(cid, ontology, rt, cost):
     return CandidateService(cid, ontology, QoSSpec(rt, cost))
 
 
-AB_REGISTRY = [
+AB_CANDIDATES = [
     cand("a1", "A", 100, 5),
     cand("a2", "A", 50, 9),
     cand("b1", "B", 200, 4),
     cand("b2", "B", 120, 8),
 ]
+AB_REGISTRY = Registry.from_candidates(AB_CANDIDATES)
 AB_ACTIVITIES = [("act-a", "A"), ("act-b", "B")]
 
 
 class TestAllocate:
     def test_unique_feasible_assignment(self):
         # Oracle check: of the four combinations only (a1, b2) fits (150, 14).
-        slots = [[c for c in AB_REGISTRY if c.ontology == o] for o in ("A", "B")]
+        slots = [[c for c in AB_CANDIDATES if c.ontology == o] for o in ("A", "B")]
         feasible = list(support.oracle_feasible_combos(QoSSpec(150, 14), slots))
         assert len(feasible) == 1
         assert tuple(c.candidate_id for c in feasible[0][0]) == ("a1", "b2")
@@ -69,19 +72,24 @@ class TestAllocate:
         assert result.aggregate() == QoSSpec(120, 13)
 
     def test_denied_when_nothing_fits(self):
-        slots = [[c for c in AB_REGISTRY if c.ontology == o] for o in ("A", "B")]
+        slots = [[c for c in AB_CANDIDATES if c.ontology == o] for o in ("A", "B")]
         assert not support.oracle_any_feasible(QoSSpec(60, 100), slots)
         result = qos_allocate(QoSSpec(60, 100), AB_ACTIVITIES, AB_REGISTRY)
         assert not result.granted
         assert result.per_activity is None
 
     def test_boundary_is_inclusive(self):
-        result = qos_allocate(QoSSpec(10, 1), [("a", "X")], [cand("x1", "X", 10, 1)])
+        result = qos_allocate(
+            QoSSpec(10, 1), [("a", "X")], Registry.from_candidates([cand("x1", "X", 10, 1)])
+        )
         assert result.granted
 
     def test_unknown_ontology_is_an_error_not_a_denial(self):
         with pytest.raises(UnknownOntologyError):
             qos_allocate(QoSSpec(10, 10), [("a", "Missing")], AB_REGISTRY)
+        # Also when an earlier activity alone would deny (no A within 10ms).
+        with pytest.raises(UnknownOntologyError):
+            qos_allocate(QoSSpec(10, 10), [("a", "A"), ("b", "Missing")], AB_REGISTRY)
 
     def test_requires_activities(self):
         with pytest.raises(ValueError):
@@ -98,57 +106,83 @@ class TestAllocate:
         with pytest.raises(ValueError):
             AllocationResult(granted=False, per_activity=())
 
+    def test_ties_break_by_worst_time_then_ids(self):
+        # Both ontologies have two cheapest (1c) candidates.  The least worst
+        # time is 20ms, set by o1b; below it o0a and o0b both fit and the
+        # smaller id wins although o0b is faster.
+        candidates = [
+            cand("o0a", "O0", 10, 1),
+            cand("o0b", "O0", 5, 1),
+            cand("o0c", "O0", 1, 2),
+            cand("o1a", "O1", 40, 1),
+            cand("o1b", "O1", 20, 1),
+        ]
+        activities = [("a", "O0"), ("b", "O1")]
+        budget = QoSSpec(70, 30)
+        slots = [[c for c in candidates if c.ontology == o] for _, o in activities]
+        expected = [c.candidate_id for c in support.oracle_best(budget, slots)]
+        assert expected == ["o0a", "o1b"]
+        result = qos_allocate(budget, activities, Registry.from_candidates(candidates))
+        assert [c.candidate_id for _, c, _ in result.per_activity] == expected
+        assert result.aggregate() == QoSSpec(20, 2)
+
     @given(
         st.integers(1, 4),
+        st.integers(1, 5),
         st.data(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force_oracle(self, n_ontologies, data):
-        registry = []
-        activities = []
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_oracle(self, n_ontologies, n_activities, data):
+        candidates = []
         for o in range(n_ontologies):
-            ontology = f"O{o}"
-            activities.append((f"act{o}", ontology))
-            n_candidates = data.draw(st.integers(1, 3))
-            for c in range(n_candidates):
-                rt = data.draw(st.integers(0, 60))
-                cost = data.draw(st.integers(0, 30))
-                registry.append(cand(f"o{o}c{c}", ontology, rt, cost))
-        budget = QoSSpec(data.draw(st.integers(0, 80)), data.draw(st.integers(0, 80)))
-
-        slots = [[c for c in registry if c.ontology == o] for _, o in activities]
-        result = qos_allocate(budget, activities, registry)
-        assert result.granted == support.oracle_any_feasible(budget, slots)
-        if result.granted:
-            aggregate = result.aggregate()
-            assert aggregate.fits_within(budget)
-            assert aggregate.cost_cents == support.oracle_min_cost(budget, slots)
-
-    def test_greedy_agrees_with_exhaustive_when_it_grants(self, monkeypatch):
-        import qosorch.selection as selection_mod
-
-        exhaustive = qos_allocate(QoSSpec(300, 40), AB_ACTIVITIES, AB_REGISTRY)
-        monkeypatch.setattr(selection_mod, "EXHAUSTIVE_LIMIT", 1)
-        greedy = qos_allocate(QoSSpec(300, 40), AB_ACTIVITIES, AB_REGISTRY)
-        assert greedy == exhaustive
-
-    def test_greedy_denies_on_tight_response_time(self, monkeypatch):
-        import qosorch.selection as selection_mod
-
-        monkeypatch.setattr(selection_mod, "EXHAUSTIVE_LIMIT", 1)
-        # Cheapest picks are a1 (100ms) and b1 (200ms); the 150ms bound fails
-        # even though (a1, b2) would fit.  Bounded incompleteness, by design.
-        result = qos_allocate(QoSSpec(150, 14), AB_ACTIVITIES, AB_REGISTRY)
-        assert not result.granted
-
-    def test_large_registries_stay_in_budgeted_time(self):
-        registry = [
-            cand(f"o{o}c{c}", f"O{o}", 10 + c, 1 + c) for o in range(7) for c in range(4)
+            for c in range(data.draw(st.integers(1, 4))):
+                # Narrow ranges make ties in cost and in time common.
+                rt = data.draw(st.integers(0, 5)) * 10
+                cost = data.draw(st.integers(0, 3))
+                candidates.append(cand(f"o{o}c{c}", f"O{o}", rt, cost))
+        # Activities may share an ontology.
+        activities = [
+            (f"act{a}", f"O{data.draw(st.integers(0, n_ontologies - 1))}")
+            for a in range(n_activities)
         ]
-        activities = [(f"act{o}", f"O{o}") for o in range(7)]
-        assert 4**7 > EXHAUSTIVE_LIMIT
-        result = qos_allocate(QoSSpec(1000, 1000), activities, registry)
-        assert result.granted  # greedy path
+        budget = QoSSpec(data.draw(st.integers(0, 60)), data.draw(st.integers(0, 20)))
+
+        slots = [[c for c in candidates if c.ontology == o] for _, o in activities]
+        expected = support.oracle_best(budget, slots)
+        result = qos_allocate(budget, activities, Registry.from_candidates(candidates))
+        assert result.granted == (expected is not None)
+        if result.granted:
+            assert [(n, c) for n, c, _ in result.per_activity] == [
+                (name, c) for (name, _), c in zip(activities, expected)
+            ]
+            assert [qos for _, _, qos in result.per_activity] == [c.qos for c in expected]
+
+    def test_tight_budget_on_a_wide_registry_grants_the_all_fast_pick(self):
+        # 7 ontologies x 4 candidates (16,384 combinations).  Each ontology
+        # has one fast candidate (50ms, 5c); the others are cheaper but take
+        # at least 100ms, so only the all-fast pick (50ms, 35c) fits.
+        registry = Registry.from_candidates(
+            [cand(f"o{o}fast", f"O{o}", 50, 5) for o in range(7)]
+            + [cand(f"o{o}slow{c}", f"O{o}", 100 + c, 1 + c) for o in range(7) for c in range(3)]
+        )
+        workflow = WorkflowDef("Wide", tuple((f"act{o}", f"O{o}") for o in range(7)))
+        tight = QoSSpec(60, 35)
+        result = qos_allocate(tight, workflow.activities, registry)
+        assert result.granted
+        assert [c.candidate_id for _, c, _ in result.per_activity] == [
+            f"o{o}fast" for o in range(7)
+        ]
+        assert result.aggregate() == QoSSpec(50, 35)
+
+        requests = [
+            WsoRequest("tight", "Wide", (), tight),
+            WsoRequest("short", "Wide", (), QoSSpec(60, 34)),
+        ]
+        trace = engine.run(workflow, registry, requests, seed=0)
+        verdict = check_pyramid([trace])
+        assert verdict.passed, verdict.violations
+        states = {i.client_id: i.state.value for _, i in trace.final.instances()}
+        assert states == {"tight": "Completed", "short": "Denied"}
 
 
 class TestInputMapping:
