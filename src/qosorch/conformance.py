@@ -39,7 +39,6 @@ from .model import (
     SelectorState,
     Trace,
     WSOIM_ADDRESS,
-    WorkflowDef,
     WsoInstance,
     activity_state_can_follow,
     configuration_errors,
@@ -110,11 +109,17 @@ class PyramidVerdict(Verdict):
 # ---------------------------------------------------------------------------
 # Behavior layer
 
-def _replay_selector(recorded: list[Message], workflow: WorkflowDef):
-    """A selector that reproduces a recorded selection decision."""
+def _replay_selector(emitted: Sequence[Message]):
+    """A selector that reproduces the decision recorded in a selection's
+    emitted messages."""
 
-    def selector(request, _workflow, _registry) -> AllocationResult:
-        reply = recorded[0]
+    def selector(request, workflow, _registry) -> AllocationResult:
+        if len(emitted) != 1 or emitted[0].kind not in (
+            MessageKind.SELECT_REPLY_GRANTED,
+            MessageKind.SELECT_REPLY_DENIED,
+        ):
+            raise ValueError("selection must emit exactly one reply")
+        reply = emitted[0]
         if reply.kind is MessageKind.SELECT_REPLY_DENIED:
             return AllocationResult(granted=False)
         ontology_of = dict(workflow.activities)
@@ -169,43 +174,30 @@ def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
         for error in configuration_errors(transition.target):
             note(P_MESSAGE_VOCABULARY, index, error)
         # The source pool was checked as the previous target (or as the
-        # initial configuration) and the consumed message must be in it, so
-        # only the emitted messages are new here.
+        # initial configuration) and replay requires the consumed message to
+        # be in it, so only the emitted messages are new here.
         for message in transition.emitted:
             schema_error = message_schema_error(message)
             if schema_error is not None:
                 note(P_MESSAGE_VOCABULARY, index, schema_error)
 
-        if transition.message not in transition.source.undelivered:
+        selector = None
+        if transition.rule is RuleId.R5_SS_SELECT:
+            selector = _replay_selector(transition.emitted)
+        try:
+            replayed = engine_mod.step(
+                transition.source, transition.message, selector=selector
+            )
+        except engine_mod.MessageNotPendingError:
             note(P_RULE_REPLAY, index, "consumed message was not pending")
             continue
-        if transition.message not in engine_mod.deliverable(transition.source):
+        except engine_mod.NotDeliverableError:
             note(
                 P_DELIVERY_ORDER,
                 index,
                 "consumed message overtook an older one on its channel",
             )
             continue
-
-        manager = transition.source.actor(WSOIM_ADDRESS)
-        workflow = manager.workflow if isinstance(manager, ManagerState) else None
-        selector = None
-        if transition.rule is RuleId.R5_SS_SELECT:
-            if len(transition.emitted) != 1 or transition.emitted[0].kind not in (
-                MessageKind.SELECT_REPLY_GRANTED,
-                MessageKind.SELECT_REPLY_DENIED,
-            ):
-                note(P_RULE_REPLAY, index, "selection must emit exactly one reply")
-                continue
-            if workflow is None:
-                note(P_RULE_REPLAY, index, "configuration is missing the instance manager")
-                continue
-            selector = _replay_selector(list(transition.emitted), workflow)
-
-        try:
-            replayed = engine_mod.step(
-                transition.source, transition.message, selector=selector
-            )
         except Exception as exc:  # corrupted data can break replay anywhere
             note(P_RULE_REPLAY, index, f"replay failed: {exc}")
             continue

@@ -21,7 +21,6 @@ from dataclasses import replace
 from typing import Callable, Iterator, Sequence
 
 from .model import (
-    ActivityActor,
     ActivityState,
     AllocatedBinding,
     ClientRecord,
@@ -39,7 +38,6 @@ from .model import (
     Transition,
     WSOIM_ADDRESS,
     WorkflowDef,
-    WsBinding,
     WsoInstance,
     WsoRequest,
     activity_address,
@@ -51,6 +49,7 @@ from .model import (
     instance_address,
     message_schema_error,
     params_dict,
+    receiver_role,
     service_address,
 )
 from .registry import Registry
@@ -79,10 +78,6 @@ class NoRuleError(EngineError):
     """No transition rule matches the message/state pair."""
 
 
-class AmbiguousRuleError(EngineError):
-    """More than one rule matched; rule determinism is broken."""
-
-
 class StateSpaceLimitError(EngineError):
     """Exploration exceeded its transition or trace budget."""
 
@@ -92,59 +87,31 @@ def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Regis
 
 
 # ---------------------------------------------------------------------------
-# Rule triggers
+# Rules
 #
-# Static trigger table: (rule, receiver role, message kind, receiver states).
-# R4a and R4b share a trigger and are split by a complementary runtime
-# condition (all activities returned and no other notification pending).
+# The message kind fixes the rule, and the vocabulary fixes the receiver role
+# (:func:`receiver_role`).  Each entry names the receiver states the rule
+# fires in (None: any).  Notify is the one kind with two rules: R4a when the
+# notification completes the instance, R4b otherwise.  Client-bound replies
+# have no rule; they are delivered synchronously by :func:`step`.
 
-RULE_TRIGGERS: tuple[tuple[RuleId, Role, MessageKind, frozenset | None], ...] = (
-    (RuleId.R1_WSOIM_CREATE, Role.MANAGER, MessageKind.WSO_REQUEST, None),
-    (RuleId.R5_SS_SELECT, Role.SELECTOR, MessageKind.SELECT, None),
-    (
-        RuleId.R2A_SELECT_DENIED,
-        Role.INSTANCE,
-        MessageKind.SELECT_REPLY_DENIED,
-        frozenset({InstanceState.WAITING}),
-    ),
-    (
+_RULES: dict[MessageKind, tuple[RuleId, frozenset | None]] = {
+    MessageKind.WSO_REQUEST: (RuleId.R1_WSOIM_CREATE, None),
+    MessageKind.SELECT: (RuleId.R5_SS_SELECT, None),
+    MessageKind.SELECT_REPLY_DENIED: (RuleId.R2A_SELECT_DENIED, frozenset({InstanceState.WAITING})),
+    MessageKind.SELECT_REPLY_GRANTED: (
         RuleId.R2B_SELECT_GRANTED,
-        Role.INSTANCE,
-        MessageKind.SELECT_REPLY_GRANTED,
         frozenset({InstanceState.WAITING}),
     ),
-    (
+    MessageKind.INVOKE_ACK: (
         RuleId.R3_INVOKE_ACK,
-        Role.INSTANCE,
-        MessageKind.INVOKE_ACK,
         frozenset({InstanceState.GRANTED, InstanceState.SERVICING}),
     ),
-    (
-        RuleId.R4A_NOTIFY_ALL_RETURNED,
-        Role.INSTANCE,
-        MessageKind.NOTIFY,
-        frozenset({InstanceState.SERVICING}),
-    ),
-    (
-        RuleId.R4B_NOTIFY_SOME_PENDING,
-        Role.INSTANCE,
-        MessageKind.NOTIFY,
-        frozenset({InstanceState.SERVICING}),
-    ),
-    (
-        RuleId.R6_AA_INVOKE,
-        Role.ACTIVITY,
-        MessageKind.INVOKE,
-        frozenset({ActivityState.PREPARING}),
-    ),
-    (
-        RuleId.R7_AA_RETURN,
-        Role.ACTIVITY,
-        MessageKind.INVOKE_REPLY,
-        frozenset({ActivityState.INVOKING}),
-    ),
-    (RuleId.R8_WS_INVOKE, Role.SERVICE, MessageKind.INVOKE_WS, None),
-)
+    MessageKind.NOTIFY: (RuleId.R4A_NOTIFY_ALL_RETURNED, frozenset({InstanceState.SERVICING})),
+    MessageKind.INVOKE: (RuleId.R6_AA_INVOKE, frozenset({ActivityState.PREPARING})),
+    MessageKind.INVOKE_REPLY: (RuleId.R7_AA_RETURN, frozenset({ActivityState.INVOKING})),
+    MessageKind.INVOKE_WS: (RuleId.R8_WS_INVOKE, None),
+}
 
 
 def _receiver_state(config: Configuration, message: Message):
@@ -182,35 +149,22 @@ def _completion_ready(config: Configuration, message: Message) -> bool:
     return not others
 
 
-def matching_rules(config: Configuration, message: Message) -> list[RuleId]:
-    """All rules whose trigger and condition match; at most one by design."""
-    role = address_role(message.receiver)
-    state = _receiver_state(config, message)
-    matched: list[RuleId] = []
-    for rule, trigger_role, kind, states in RULE_TRIGGERS:
-        if trigger_role is not role or kind is not message.kind:
-            continue
-        if states is not None and state not in states:
-            continue
-        if rule is RuleId.R4A_NOTIFY_ALL_RETURNED and not _completion_ready(config, message):
-            continue
-        if rule is RuleId.R4B_NOTIFY_SOME_PENDING and _completion_ready(config, message):
-            continue
-        matched.append(rule)
-    return matched
-
-
 def rule_for(config: Configuration, message: Message) -> RuleId:
-    matched = matching_rules(config, message)
-    if not matched:
+    """The one rule that consumes this message in this configuration."""
+    rule, states = _RULES.get(message.kind, (None, None))
+    if (
+        rule is None
+        or address_role(message.receiver) is not receiver_role(message.kind)
+        or (states is not None and _receiver_state(config, message) not in states)
+    ):
         state = _receiver_state(config, message)
         raise NoRuleError(
             f"no rule consumes {message.kind.value} at {message.receiver!r} "
             f"(state {getattr(state, 'value', state)})"
         )
-    if len(matched) > 1:
-        raise AmbiguousRuleError(f"rules {matched} all match {message.kind.value}")
-    return matched[0]
+    if rule is RuleId.R4A_NOTIFY_ALL_RETURNED and not _completion_ready(config, message):
+        return RuleId.R4B_NOTIFY_SOME_PENDING
+    return rule
 
 
 def deliverable(config: Configuration) -> list[Message]:
@@ -341,27 +295,22 @@ def _apply_r2b(config: Configuration, message: Message, selector: Selector):
         instance.request.input_parameters, instance.activity_names()
     )
     activities = tuple(
-        ActivityActor(
-            aa_name=aa.aa_name,
-            wsoi_id=aa.wsoi_id,
+        replace(
+            aa,
             qos=allocated[aa.aa_name].qos,
             input_parameters=inputs[aa.aa_name],
             output_parameters=None,
             state=ActivityState.PREPARING,
-            ws=WsBinding(
-                wsoi_id=aa.wsoi_id,
-                aa_name=aa.aa_name,
+            ws=replace(
+                aa.ws,
                 endpoint=allocated[aa.aa_name].candidate_id,
                 advertised_qos=allocated[aa.aa_name].qos,
             ),
         )
         for aa in instance.activities
     )
-    granted = WsoInstance(
-        request=instance.request,
-        state=InstanceState.GRANTED,
-        activities=activities,
-        output_parameters=None,
+    granted = replace(
+        instance, state=InstanceState.GRANTED, activities=activities, output_parameters=None
     )
     cid = message.client_id
     emitted = [
@@ -483,15 +432,25 @@ _RULE_APPLIERS = {
 }
 
 
-def _remove_first(pool: tuple[Message, ...], message: Message) -> tuple[Message, ...]:
-    for index, candidate in enumerate(pool):
-        if candidate == message:
-            return pool[:index] + pool[index + 1 :]
+def _check_deliverable(config: Configuration, message: Message) -> None:
+    """One pass over the message's channel: it must be pending and the oldest
+    message on its (sender, receiver) channel."""
+    oldest = True
+    for pending in config.undelivered:
+        if pending.sender == message.sender and pending.receiver == message.receiver:
+            if pending == message:
+                if oldest:
+                    return
+                raise NotDeliverableError(
+                    f"an older message on channel {message.sender!r}->{message.receiver!r} "
+                    "is pending"
+                )
+            oldest = False
     raise MessageNotPendingError(f"{message.kind.value} is not in the undelivered pool")
 
 
 def step(config: Configuration, message: Message, *, selector: Selector | None = None) -> Transition:
-    """Consume one message under the unique matching rule.
+    """Consume one message under the one rule its kind fires.
 
     Returns the transition to the new configuration.  Client-bound replies in
     the rule's emissions are delivered synchronously into the client record;
@@ -499,12 +458,7 @@ def step(config: Configuration, message: Message, *, selector: Selector | None =
     """
     if selector is None:
         selector = default_selector
-    if message not in config.undelivered:
-        raise MessageNotPendingError(f"{message.kind.value} is not in the undelivered pool")
-    if message not in deliverable(config):
-        raise NotDeliverableError(
-            f"an older message on channel {message.sender!r}->{message.receiver!r} is pending"
-        )
+    _check_deliverable(config, message)
     rule = rule_for(config, message)
     changed, emitted = _RULE_APPLIERS[rule](config, message, selector)
 
@@ -512,20 +466,12 @@ def step(config: Configuration, message: Message, *, selector: Selector | None =
         schema_error = message_schema_error(out)
         if schema_error is not None:
             raise EngineError(f"rule {rule.value} emitted a bad message: {schema_error}")
-
-    target = config
-    for address, snapshot in changed.items():
-        target = target.with_actor(address, snapshot)
-    pool = _remove_first(target.undelivered, message)
-    for out in emitted:
         if address_role(out.receiver) is Role.CLIENT:
-            record = target.actor(out.receiver)
+            record = changed.get(out.receiver) or config.actor(out.receiver)
             if not isinstance(record, ClientRecord):
                 raise EngineError(f"no client record at {out.receiver!r}")
-            target = target.with_actor(out.receiver, record.with_received(out))
-        else:
-            pool = pool + (out,)
-    target = Configuration(actors=target.actors, undelivered=pool)
+            changed[out.receiver] = record.with_received(out)
+    target = config.advance(message, changed, emitted)
     return Transition(source=config, rule=rule, message=message, target=target, emitted=tuple(emitted))
 
 
@@ -613,21 +559,23 @@ def explore(
     max_traces: int = DEFAULT_MAX_TRACES,
     selector: Selector | None = None,
 ) -> tuple[Trace, ...]:
-    """All maximal traces reachable by any interleaving of enabled messages.
+    """All maximal traces reachable by any interleaving of enabled messages,
+    in deterministic order.
 
-    Traces are deduplicated by their (rule, message) label sequence and
-    returned in deterministic order.  Exceeding max_transitions on any path,
-    or max_traces overall, raises StateSpaceLimitError.
+    The search branches on distinct deliverable messages, so no two traces
+    share a label sequence.  Exceeding max_transitions on any path, or
+    max_traces overall, raises StateSpaceLimitError.
     """
     if max_transitions < 1:
         raise ValueError("max_transitions must be positive")
     initial = initial_configuration(workflow, registry, requests)
-    collected: dict[tuple, Trace] = {}
+    traces: list[Trace] = []
 
     def collect(prefix: list[Transition]) -> None:
         trace = Trace(initial=initial, steps=tuple(prefix))
-        collected.setdefault(trace.labels(), trace)
-        if len(collected) > max_traces:
+        _check_terminal(trace.final)
+        traces.append(trace)
+        if len(traces) > max_traces:
             raise StateSpaceLimitError(f"more than {max_traces} maximal traces")
 
     # Depth-first search with an explicit stack; prefix mirrors the path to
@@ -636,7 +584,7 @@ def explore(
     options = _schedulable(initial)
     if not options:
         collect(prefix)
-        return tuple(collected.values())
+        return tuple(traces)
     stack: list[tuple[Configuration, Iterator[Message]]] = [(initial, iter(options))]
     while stack:
         config, pending = stack[-1]
@@ -658,6 +606,4 @@ def explore(
             )
         else:
             stack.append((transition.target, iter(child_options)))
-    for trace in collected.values():
-        _check_terminal(trace.final)
-    return tuple(collected.values())
+    return tuple(traces)

@@ -28,7 +28,6 @@ from .model import (
     MessageKind,
     Params,
     QoSSpec,
-    Role,
     RuleId,
     SelectorState,
     Trace,
@@ -37,7 +36,6 @@ from .model import (
     WsBinding,
     WsoInstance,
     WsoRequest,
-    address_role,
     freeze_params,
     params_dict,
 )
@@ -89,6 +87,14 @@ def _params_value(value: dict | None) -> Params | None:
     return None if value is None else freeze_params(value)
 
 
+def _text(record: dict, key: str, *, optional: bool = False) -> str | None:
+    """A string field; an optional one may be absent or null."""
+    value = record.get(key) if optional else record[key]
+    if not isinstance(value, str) and not (optional and value is None):
+        raise TypeError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Messages
 
@@ -135,14 +141,14 @@ def message_from_record(record: dict) -> Message:
             )
         return Message(
             kind=MessageKind(record["kind"]),
-            sender=record["sender"],
-            receiver=record["receiver"],
-            client_id=record["client_id"],
-            ontology=record.get("ontology"),
+            sender=_text(record, "sender"),
+            receiver=_text(record, "receiver"),
+            client_id=_text(record, "client_id"),
+            ontology=_text(record, "ontology", optional=True),
             qos=qos_from_record(record["qos"]) if "qos" in record else None,
             params=_params_value(record.get("params")),
             assignment=assignment,
-            aa_name=record.get("aa_name"),
+            aa_name=_text(record, "aa_name", optional=True),
             aa_state=ActivityState(record["aa_state"]) if "aa_state" in record else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -247,7 +253,7 @@ def _activity_record(aa: ActivityActor) -> dict:
 def _activity_from_record(record: dict) -> ActivityActor:
     ws = record["ws"]
     return ActivityActor(
-        aa_name=record["aa_name"],
+        aa_name=_text(record, "aa_name"),
         wsoi_id=record["wsoi_id"],
         qos=None if record["qos"] is None else qos_from_record(record["qos"]),
         input_parameters=_params_value(record["input_parameters"]),
@@ -297,15 +303,18 @@ def actor_to_record(address: str, snapshot) -> dict:
 
 
 def actor_from_record(record: dict):
+    if not isinstance(record, dict):
+        raise FormatError(f"expected an actor object, got {type(record).__name__}")
     kind = record.get("type")
     try:
+        address = _text(record, "address")
         if kind == "manager":
-            return record["address"], ManagerState(workflow_from_record(record["workflow"]))
+            return address, ManagerState(workflow_from_record(record["workflow"]))
         if kind == "selector":
             registry = Registry.from_candidates(
                 candidate_from_record(item) for item in record["registry"]
             )
-            return record["address"], SelectorState(registry)
+            return address, SelectorState(registry)
         if kind == "instance":
             instance = WsoInstance(
                 request=request_from_record(record["request"]),
@@ -315,9 +324,9 @@ def actor_from_record(record: dict):
                 ),
                 output_parameters=_params_value(record["output_parameters"]),
             )
-            return record["address"], instance
+            return address, instance
         if kind == "client":
-            return record["address"], ClientRecord(
+            return address, ClientRecord(
                 client_id=record["client_id"],
                 received=tuple(message_from_record(m) for m in record["received"]),
             )
@@ -337,9 +346,9 @@ def config_from_record(record: dict) -> Configuration:
     try:
         actors = tuple(actor_from_record(item) for item in record["actors"])
         pool = tuple(message_from_record(item) for item in record["undelivered"])
-    except (KeyError, TypeError) as exc:
+        return Configuration(actors=actors, undelivered=pool)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad configuration record: {exc}") from exc
-    return Configuration(actors=actors, undelivered=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +356,8 @@ def config_from_record(record: dict) -> Configuration:
 #
 # A trace serializes as a trace record carrying the initial configuration,
 # followed by one transition record per step.  Transition records are deltas:
-# target configurations are reassembled by applying the changed actors and
-# the pool update to the running configuration.
+# target configurations are reassembled by Configuration.advance, the same
+# step the engine takes.
 
 def _changed_actors(source: Configuration, target: Configuration) -> list[dict]:
     before = dict(source.actors)
@@ -401,37 +410,39 @@ def _apply_transition_record(config: Configuration, record: dict) -> Transition:
     consumed = message_from_record(record["consumed"])
     emitted = tuple(message_from_record(item) for item in record["emitted"])
     rule = RuleId(record["rule"])
-    # Unchanged actors keep their (address, snapshot) pairs from the source,
-    # so consecutive configurations share them.
-    updated: dict[str, object] = {}  # address -> snapshot, None when removed
+    changed: dict[str, object] = {}  # address -> snapshot, None when removed
     for change in record["changed"]:
         if change["after"] is None:
-            updated[change["address"]] = None
+            changed[change["address"]] = None
         else:
             address, snapshot = actor_from_record(change["after"])
-            updated[address] = snapshot
-    actors = [pair for pair in config.actors if pair[0] not in updated]
-    actors.extend(pair for pair in updated.items() if pair[1] is not None)
-    pool = list(config.undelivered)
-    if consumed in pool:
-        pool.remove(consumed)
-    for message in emitted:
-        if address_role(message.receiver) is not Role.CLIENT:
-            pool.append(message)
-    target = Configuration(actors=tuple(actors), undelivered=tuple(pool))
+            changed[address] = snapshot
+    target = config.advance(consumed, changed, emitted)
     return Transition(source=config, rule=rule, message=consumed, target=target, emitted=emitted)
+
+
+def _trace_index(record: dict) -> int:
+    index = record.get("trace", 0)
+    if not isinstance(index, int):
+        where = "trace record"
+        if record["record"] == "transition":
+            where = f"transition {record.get('index')!r}"
+        raise FormatError(f"{where}: trace index {index!r} is not an integer")
+    return index
 
 
 def traces_from_records(records: Sequence[dict]) -> list[Trace]:
     by_trace: dict[int, dict] = {}
     for record in records:
         if record["record"] == "trace":
-            index = record.get("trace", 0)
+            index = _trace_index(record)
             if index in by_trace:
                 raise FormatError(f"duplicate trace record {index}")
+            if "initial" not in record:
+                raise FormatError(f"trace {index}: trace record without an initial configuration")
             by_trace[index] = {"initial": record["initial"], "transitions": []}
         elif record["record"] == "transition":
-            index = record.get("trace", 0)
+            index = _trace_index(record)
             if index not in by_trace:
                 raise FormatError(f"transition for unknown trace {index}")
             if not isinstance(record.get("index"), int):
@@ -441,7 +452,10 @@ def traces_from_records(records: Sequence[dict]) -> list[Trace]:
     traces = []
     for index in sorted(by_trace):
         entry = by_trace[index]
-        config = config_from_record(entry["initial"])
+        try:
+            config = config_from_record(entry["initial"])
+        except FormatError as exc:
+            raise FormatError(f"trace {index}: {exc}") from exc
         initial = config
         steps = []
         expected = 0

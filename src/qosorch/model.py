@@ -450,6 +450,11 @@ _MESSAGE_SCHEMA: dict[MessageKind, tuple[Role, Role, frozenset[str]]] = {
 _PAYLOAD_FIELDS = ("ontology", "qos", "params", "assignment", "aa_name", "aa_state")
 
 
+def receiver_role(kind: MessageKind) -> Role:
+    """The role of the actor that every message of this kind is addressed to."""
+    return _MESSAGE_SCHEMA[kind][1]
+
+
 def message_schema_error(message: Message) -> str | None:
     """Check one message against the vocabulary; return a description or None.
 
@@ -558,9 +563,28 @@ class Configuration:
                 return snapshot
         return None
 
-    def with_actor(self, address: str, snapshot: ActorSnapshot) -> Configuration:
-        remaining = tuple(pair for pair in self.actors if pair[0] != address)
-        return replace(self, actors=remaining + ((address, snapshot),))
+    def advance(
+        self,
+        consumed: Message,
+        changed: Mapping[str, ActorSnapshot | None],
+        emitted: Iterable[Message],
+    ) -> Configuration:
+        """The target of a transition that consumes one message.
+
+        Changed actors replace their snapshots (``None`` removes one) and the
+        rest are shared.  The first pending copy of the consumed message
+        leaves the pool; emitted messages join it in order, except replies to
+        clients, whose records the caller passes among the changed actors.
+        """
+        actors = [pair for pair in self.actors if pair[0] not in changed]
+        actors.extend(pair for pair in changed.items() if pair[1] is not None)
+        pool = list(self.undelivered)
+        try:
+            pool.remove(consumed)
+        except ValueError:
+            pass  # a recorded transition may claim a message that was not pending
+        pool.extend(m for m in emitted if address_role(m.receiver) is not Role.CLIENT)
+        return Configuration(actors=tuple(actors), undelivered=tuple(pool))
 
     def instances(self) -> Iterator[tuple[str, WsoInstance]]:
         for address, snapshot in self.actors:

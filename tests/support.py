@@ -210,12 +210,14 @@ def denied_then_granted_trace(workflow, registry, requests) -> Trace:
     )
     record = spliced_target.actor(client_address(cid))
     assert isinstance(record, ClientRecord)
-    forged_target = (
-        spliced_target.with_actor(instance_address(cid), granted)
-        .with_actor(client_address(cid), record.with_received(granted_reply))
+    forged_target = spliced_target.advance(
+        reply,
+        {
+            instance_address(cid): granted,
+            client_address(cid): record.with_received(granted_reply),
+        },
+        (granted_reply,) + invokes,
     )
-    pool = tuple(m for m in forged_target.undelivered if m != reply) + invokes
-    forged_target = Configuration(actors=forged_target.actors, undelivered=pool)
     t4 = Transition(
         source=spliced_target,
         rule=RuleId.R2B_SELECT_GRANTED,

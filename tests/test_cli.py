@@ -1,8 +1,73 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qosorch import cli
+
+GOLDEN_FILE = Path(__file__).parent / "golden" / "bookstore_seed0.jsonl"
+GOLDEN_RECORDS = [json.loads(line) for line in GOLDEN_FILE.read_text().splitlines()]
+
+
+def _paths(value, prefix=()):
+    """Key paths to every value nested inside a JSON object or list."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# (line, key path) of every value in the golden trace file; list entries are
+# the paths ending in an integer index.
+GOLDEN_PATHS = [
+    (line, path) for line, record in enumerate(GOLDEN_RECORDS) for path in _paths(record)
+]
+LIST_ENTRY_PATHS = [(line, path) for line, path in GOLDEN_PATHS if isinstance(path[-1], int)]
+JSON_VALUES = [None, 0, -1, 2.5, True, "x", [], {}, [0], {"k": "v"}]
+
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(GOLDEN_PATHS), st.just("delete"), st.none()),
+    st.tuples(st.sampled_from(GOLDEN_PATHS), st.just("replace"), st.sampled_from(JSON_VALUES)),
+    st.tuples(st.sampled_from(LIST_ENTRY_PATHS), st.just("duplicate"), st.none()),
+)
+
+# Malformed records that once crashed `check`, each with where its error is
+# reported.  Line 0 is the trace record; line 3 is transition 2.
+MALFORMED = {
+    "trace-index-not-an-integer": (((3, ("trace",)), "replace", [0]), "transition 2: "),
+    "duplicated-initial-actor": (((0, ("initial", "actors", 0)), "duplicate", None), "trace 0: "),
+    "missing-initial": (((0, ("initial",)), "delete", None), "trace 0: "),
+    "initial-actor-not-an-object": (((0, ("initial", "actors", 0)), "replace", 5), "trace 0: "),
+    "changed-after-not-an-object": (
+        ((3, ("changed", 0, "after")), "replace", 5),
+        "trace 0, transition 2: ",
+    ),
+}
+
+
+def write_mutated_golden(path, mutation):
+    (line, key_path), operation, value = mutation
+    records = copy.deepcopy(GOLDEN_RECORDS)
+    parent = records[line]
+    for key in key_path[:-1]:
+        parent = parent[key]
+    key = key_path[-1]
+    if operation == "delete":
+        del parent[key]
+    elif operation == "duplicate":
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(value)
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def invoke(argv):
@@ -126,6 +191,35 @@ class TestCheck:
         err = capsys.readouterr().err
         assert str(path) in err
         assert "trace 0, transition 2" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_record_exits_one_naming_where(self, case, tmp_path, capsys):
+        mutation, where = MALFORMED[case]
+        path = tmp_path / "malformed.jsonl"
+        write_mutated_golden(path, mutation)
+        assert invoke(["check", str(path)]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {where}")
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mutation=MUTATIONS)
+    @example(mutation=MALFORMED["trace-index-not-an-integer"][0])
+    @example(mutation=MALFORMED["duplicated-initial-actor"][0])
+    @example(mutation=MALFORMED["missing-initial"][0])
+    @example(mutation=MALFORMED["initial-actor-not-an-object"][0])
+    @example(mutation=MALFORMED["changed-after-not-an-object"][0])
+    def test_mutated_golden_trace_never_crashes(self, mutation, tmp_path):
+        path = tmp_path / "mutated.jsonl"
+        write_mutated_golden(path, mutation)
+        assert invoke(["check", str(path)]) in (
+            cli.EXIT_OK,
+            cli.EXIT_INPUT,
+            cli.EXIT_VIOLATION,
+        )
 
     def test_empty_trace_file_is_vacuously_ok(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

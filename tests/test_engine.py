@@ -6,25 +6,26 @@ import support
 from qosorch import engine
 from qosorch.engine import (
     MessageNotPendingError,
+    NoRuleError,
     NotDeliverableError,
-    RULE_TRIGGERS,
     StateSpaceLimitError,
     enabled,
     explore,
     initial_configuration,
-    matching_rules,
+    rule_for,
     run,
     step,
 )
 from qosorch.model import (
     ActivityState,
     InstanceState,
+    Message,
     MessageKind,
     QoSSpec,
-    Role,
     RuleId,
     SS_ADDRESS,
     WsoRequest,
+    client_address,
     get_aa,
     get_wses,
     get_wsoi,
@@ -32,7 +33,19 @@ from qosorch.model import (
     undelivered_requests,
 )
 
-ALL_STATES = [None, *InstanceState, *ActivityState]
+# Restated here, independently of the engine's table: the rules each message
+# kind may fire.  Client-bound replies fire none.
+KIND_RULES = {
+    MessageKind.WSO_REQUEST: {RuleId.R1_WSOIM_CREATE},
+    MessageKind.SELECT: {RuleId.R5_SS_SELECT},
+    MessageKind.SELECT_REPLY_DENIED: {RuleId.R2A_SELECT_DENIED},
+    MessageKind.SELECT_REPLY_GRANTED: {RuleId.R2B_SELECT_GRANTED},
+    MessageKind.INVOKE_ACK: {RuleId.R3_INVOKE_ACK},
+    MessageKind.NOTIFY: {RuleId.R4A_NOTIFY_ALL_RETURNED, RuleId.R4B_NOTIFY_SOME_PENDING},
+    MessageKind.INVOKE: {RuleId.R6_AA_INVOKE},
+    MessageKind.INVOKE_REPLY: {RuleId.R7_AA_RETURN},
+    MessageKind.INVOKE_WS: {RuleId.R8_WS_INVOKE},
+}
 
 
 def step_by_kinds(config, kinds):
@@ -229,31 +242,47 @@ class TestEnabled:
 
 
 class TestRuleDeterminism:
-    def test_static_trigger_table_is_unambiguous(self):
-        for role in Role:
-            for kind in MessageKind:
-                for state in ALL_STATES:
-                    matches = [
-                        rule
-                        for rule, trigger_role, trigger_kind, states in RULE_TRIGGERS
-                        if trigger_role is role
-                        and trigger_kind is kind
-                        and (states is None or state in states)
-                    ]
-                    if len(matches) > 1:
-                        # The notification pair splits on a complementary
-                        # runtime condition; nothing else may collide.
-                        assert set(matches) == {
-                            RuleId.R4A_NOTIFY_ALL_RETURNED,
-                            RuleId.R4B_NOTIFY_SOME_PENDING,
-                        }
-
-    def test_every_reachable_message_matches_exactly_one_rule(self, explored_corpora):
+    def test_every_reachable_message_fires_the_rule_of_its_kind(self, explored_corpora):
         for traces in explored_corpora.sets.values():
             for trace in traces:
                 for config in trace.configurations():
                     for message in engine.deliverable(config):
-                        assert len(matching_rules(config, message)) == 1
+                        assert rule_for(config, message) in KIND_RULES[message.kind]
+                for transition in trace.steps:
+                    assert transition.rule in KIND_RULES[transition.message.kind]
+
+    def test_messages_without_a_rule_raise_no_rule_error(self, minimal_one):
+        config = initial_configuration(
+            minimal_one.workflow, minimal_one.registry, minimal_one.requests
+        )
+        config, _ = step_by_kinds(config, [MessageKind.WSO_REQUEST])
+        request = get_wsoi(config, "c1").request
+        # A client-bound reply left in the pool: no kind entry fires for it.
+        reply = Message(
+            kind=MessageKind.GRANTED_REPLY,
+            sender=instance_address("c1"),
+            receiver=client_address("c1"),
+            client_id="c1",
+            ontology=request.ontology,
+            qos=request.qos,
+        )
+        # A selection request addressed to the instance instead of the selector.
+        misrouted = Message(
+            kind=MessageKind.SELECT,
+            sender=instance_address("c1"),
+            receiver=instance_address("c1"),
+            client_id="c1",
+            ontology=request.ontology,
+            qos=request.qos,
+        )
+        polluted = dataclasses.replace(
+            config, undelivered=config.undelivered + (reply, misrouted)
+        )
+        for message in (reply, misrouted):
+            with pytest.raises(NoRuleError):
+                rule_for(polluted, message)
+            with pytest.raises(NoRuleError):
+                step(polluted, message)
 
 
 class TestRun:
