@@ -2,17 +2,19 @@
 
 The layers refine each other:
 
-* behavior  -- every configuration is well-formed, every message belongs to
-               the closed vocabulary, and every transition is reproducible
-               by re-applying the rule engine;
+* behavior  -- every snapshot is well-formed where it first appears, every
+               message belongs to the closed vocabulary, every pending
+               message's addresses resolve, and every transition is
+               reproducible by re-applying the rule engine;
 * system    -- instance creation snapshots are field-exact, requests and
                activity sets stay constant, states move monotonically,
                denied instances stay unbound, bindings imply a grant, and
                every instance eventually reaches a terminal state;
 * service   -- per client and per trace, exactly one of acceptance (with the
-               final bound services aggregating within the requested budget)
-               or rejection happens, and every rejection agrees with an
-               independent brute-force selection oracle.
+               final bound services offered by the registry and aggregating
+               within the requested budget) or rejection happens, and every
+               rejection agrees with an independent brute-force selection
+               oracle.
 
 Checkers re-derive everything from the configurations themselves; they never
 trust engine annotations.  The selection oracle here is intentionally a
@@ -41,11 +43,11 @@ from .model import (
     WSOIM_ADDRESS,
     WsoInstance,
     activity_state_can_follow,
-    configuration_errors,
     get_wsoi,
-    instance_address,
     instance_state_can_follow,
     message_schema_error,
+    resolvable_addresses,
+    snapshot_error,
 )
 from .registry import Registry
 from .selection import AllocationResult, CandidateService
@@ -140,47 +142,64 @@ def _replay_selector(emitted: Sequence[Message]):
     return selector
 
 
-def _state_domain_errors(config: Configuration) -> list[str]:
-    errors: list[str] = []
-    for _, instance in config.instances():
-        if not isinstance(instance.state, InstanceState):
-            errors.append(f"instance {instance.client_id!r} has state {instance.state!r}")
-        for aa in instance.activities:
-            if not isinstance(aa.state, ActivityState):
-                errors.append(f"activity {aa.aa_name!r} has state {aa.state!r}")
-    return errors
+def _changes(trace: Trace):
+    """Each configuration's position, the actors it changed, its pool and the
+    messages new in it.  The initial configuration, at position None, counts
+    as a change from the empty configuration."""
+    initial = trace.initial
+    yield None, Configuration(actors=()).changes(initial), initial.undelivered, initial.undelivered
+    for index, t in enumerate(trace.steps):
+        yield index, t.source.changes(t.target), t.target.undelivered, t.emitted
 
 
 def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
     """Check one trace against the transition rules by replaying every step.
 
-    The selection decision itself is taken as recorded (the selector is free
-    to grant or deny at this layer); everything downstream of the decision
-    must be reproducible mechanically.
+    Each snapshot and message is checked where it first appears; every
+    pending message's addresses must resolve in every configuration.  The
+    selection decision itself is taken as recorded (the selector is free to
+    grant or deny at this layer); everything downstream of the decision must
+    be reproducible mechanically.
     """
     violations: list[Violation] = []
 
     def note(property_id: str, index: int | None, witness: str) -> None:
         violations.append(Violation(property_id, trace_index, index, witness))
 
-    for error in configuration_errors(trace.initial):
-        note(P_MESSAGE_VOCABULARY, None, error)
-    for error in _state_domain_errors(trace.initial):
-        note(P_STATE_DOMAIN, None, error)
-
-    for index, transition in enumerate(trace.steps):
-        for error in _state_domain_errors(transition.target):
-            note(P_STATE_DOMAIN, index, error)
-        for error in configuration_errors(transition.target):
-            note(P_MESSAGE_VOCABULARY, index, error)
-        # The source pool was checked as the previous target (or as the
-        # initial configuration) and replay requires the consumed message to
-        # be in it, so only the emitted messages are new here.
-        for message in transition.emitted:
+    resolvable: set[str] = set()
+    for index, changes, pool, new_messages in _changes(trace):
+        for address, before, after in changes:
+            if before is not None:
+                resolvable.difference_update(resolvable_addresses(address, before))
+            if after is None:
+                continue
+            resolvable.update(resolvable_addresses(address, after))
+            error = snapshot_error(address, after)
+            if error is not None:
+                note(P_MESSAGE_VOCABULARY, index, error)
+            if not isinstance(after, WsoInstance):
+                continue
+            if not isinstance(after.state, InstanceState):
+                note(P_STATE_DOMAIN, index, f"instance {after.client_id!r} has state {after.state!r}")
+            for aa in after.activities:
+                if not isinstance(aa.state, ActivityState):
+                    note(P_STATE_DOMAIN, index, f"activity {aa.aa_name!r} has state {aa.state!r}")
+        for message in pool:
+            for address in (message.sender, message.receiver):
+                if address not in resolvable:
+                    note(
+                        P_MESSAGE_VOCABULARY,
+                        index,
+                        f"{message.kind.value} references unresolvable address {address!r}",
+                    )
+        for message in new_messages:
             schema_error = message_schema_error(message)
             if schema_error is not None:
                 note(P_MESSAGE_VOCABULARY, index, schema_error)
+        if index is None:
+            continue
 
+        transition = trace.steps[index]
         selector = None
         if transition.rule is RuleId.R5_SS_SELECT:
             selector = _replay_selector(transition.emitted)
@@ -279,87 +298,74 @@ def _check_creation(trace, note) -> None:
             note(P_CREATION_SNAPSHOT, index, problem)
 
 
-def _check_constancy_and_monotonicity(trace, note) -> None:
-    for index, transition in enumerate(trace.steps):
-        after = dict(transition.target.actors)
-        for _, prior in transition.source.instances():
-            cid = prior.client_id
-            current = after.get(instance_address(cid))
-            if current is prior:
-                continue  # an unchanged snapshot is shared, not copied
+def _check_succession(prior: WsoInstance, current, index: int, note) -> None:
+    """Constancy and monotonicity of an instance replaced at one address."""
+    cid = prior.client_id
+    if not isinstance(current, WsoInstance):
+        note(P_REQUEST_CONSTANCY, index, f"instance {cid!r} disappeared")
+        return
+    if current.request != prior.request:
+        note(P_REQUEST_CONSTANCY, index, f"request of {cid!r} changed")
+    if set(current.activity_names()) != set(prior.activity_names()):
+        note(P_REQUEST_CONSTANCY, index, f"activity set of {cid!r} changed")
+    if not instance_state_can_follow(prior.state, current.state):
+        note(
+            P_STATE_MONOTONICITY,
+            index,
+            f"instance {cid!r} moved {prior.state.value} -> {current.state.value}",
+        )
+    current_states = {aa.aa_name: aa.state for aa in current.activities}
+    for prior_aa in prior.activities:
+        state = current_states.get(prior_aa.aa_name)
+        if state is not None and not activity_state_can_follow(prior_aa.state, state):
+            note(
+                P_STATE_MONOTONICITY,
+                index,
+                f"activity {prior_aa.aa_name!r} of {cid!r} moved "
+                f"{prior_aa.state.value} -> {state.value}",
+            )
+
+
+def _check_lifecycle(trace, note) -> None:
+    """One walk over the changes, following each instance by its address:
+    succession where a prior instance is replaced, binding constraints on
+    each new instance snapshot, and progress of the final instances judged
+    from the states each went through."""
+    visited: dict[str, set[InstanceState]] = {}
+    for index, changes, _, _ in _changes(trace):
+        for address, prior, current in changes:
+            if isinstance(prior, WsoInstance):
+                _check_succession(prior, current, index, note)
             if not isinstance(current, WsoInstance):
-                note(P_REQUEST_CONSTANCY, index, f"instance {cid!r} disappeared")
                 continue
-            if current.request != prior.request:
-                note(P_REQUEST_CONSTANCY, index, f"request of {cid!r} changed")
-            if set(current.activity_names()) != set(prior.activity_names()):
-                note(P_REQUEST_CONSTANCY, index, f"activity set of {cid!r} changed")
-            if not instance_state_can_follow(prior.state, current.state):
-                note(
-                    P_STATE_MONOTONICITY,
-                    index,
-                    f"instance {cid!r} moved {prior.state.value} -> {current.state.value}",
-                )
-            for prior_aa in prior.activities:
-                for current_aa in current.activities:
-                    if current_aa.aa_name != prior_aa.aa_name:
-                        continue
-                    if not activity_state_can_follow(prior_aa.state, current_aa.state):
-                        note(
-                            P_STATE_MONOTONICITY,
-                            index,
-                            f"activity {prior_aa.aa_name!r} of {cid!r} moved "
-                            f"{prior_aa.state.value} -> {current_aa.state.value}",
-                        )
-
-
-def _check_snapshot_constraints(trace, note) -> None:
-    configs = trace.configurations()
-    for index, config in enumerate(configs):
-        position = None if index == 0 else index - 1
-        for _, instance in config.instances():
-            cid = instance.client_id
-            bound = [aa.aa_name for aa in instance.activities if aa.ws.bound]
-            if instance.state is InstanceState.DENIED and bound:
-                note(
-                    P_DENIED_UNBOUND,
-                    position,
-                    f"denied instance {cid!r} holds bindings {bound}",
-                )
-            if bound and instance.state not in (
+            visited.setdefault(address, set()).add(current.state)
+            cid = current.client_id
+            bound = [aa.aa_name for aa in current.activities if aa.ws.bound]
+            if current.state is InstanceState.DENIED and bound:
+                note(P_DENIED_UNBOUND, index, f"denied instance {cid!r} holds bindings {bound}")
+            if bound and current.state not in (
                 InstanceState.GRANTED,
                 InstanceState.SERVICING,
                 InstanceState.COMPLETED,
             ):
                 note(
                     P_BINDING_REQUIRES_GRANT,
-                    position,
-                    f"instance {cid!r} is {instance.state.value} with bindings {bound}",
+                    index,
+                    f"instance {cid!r} is {current.state.value} with bindings {bound}",
                 )
-
-
-def _check_progress(trace, note) -> None:
-    final = trace.final
-    ever_granted: set[str] = set()
-    ever_servicing: set[str] = set()
-    for config in trace.configurations():
-        for _, instance in config.instances():
-            if instance.state is InstanceState.GRANTED:
-                ever_granted.add(instance.client_id)
-            if instance.state is InstanceState.SERVICING:
-                ever_servicing.add(instance.client_id)
-    for _, instance in final.instances():
+    for address, instance in trace.final.instances():
         cid = instance.client_id
+        states = visited[address]
         if instance.state is InstanceState.WAITING:
             note(P_WAITING_PROGRESS, None, f"instance {cid!r} never left Waiting")
-        if cid in ever_granted:
+        if InstanceState.GRANTED in states:
             if instance.state is not InstanceState.COMPLETED:
                 note(
                     P_GRANTED_PROGRESS,
                     None,
                     f"granted instance {cid!r} ended {instance.state.value}",
                 )
-            elif cid not in ever_servicing:
+            elif InstanceState.SERVICING not in states:
                 note(P_GRANTED_PROGRESS, None, f"instance {cid!r} completed without servicing")
 
 
@@ -375,9 +381,7 @@ def check_system(traces: Sequence[Trace]) -> Verdict:
             violations.append(Violation(property_id, trace_index, transition_index, witness))
 
         _check_creation(trace, note)
-        _check_constancy_and_monotonicity(trace, note)
-        _check_snapshot_constraints(trace, note)
-        _check_progress(trace, note)
+        _check_lifecycle(trace, note)
     return Verdict.from_violations(violations)
 
 
@@ -416,8 +420,9 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
     """Check the acceptance/rejection dichotomy and its QoS obligations.
 
     Every seeded request must, in every trace, be either accepted exactly once
-    (granted and later completed, with the final bound services aggregating
-    within the requested budget) or rejected exactly once (with the rejection
+    (granted and later completed, with every final bound service a candidate
+    the registry offers for its activity at the bound QoS, aggregating within
+    the requested budget) or rejected exactly once (with the rejection
     re-verified against the brute-force selection oracle).
     """
     _require_shared_initial(traces)
@@ -460,16 +465,32 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
                         f"accepted instance {cid!r} has unbound activities",
                     )
                     continue
+                completion = replies[MessageKind.COMPLETED_REPLY][0]
                 worst = max(q.response_time_ms for q in bound)
                 total = sum(q.cost_cents for q in bound)
                 budget = request_msg.qos
                 if worst > budget.response_time_ms or total > budget.cost_cents:
                     note(
                         P_GRANT_FEASIBILITY,
-                        replies[MessageKind.COMPLETED_REPLY][0],
+                        completion,
                         f"client {cid!r} accepted with aggregate ({worst}ms,{total}c) "
                         f"over budget ({budget.response_time_ms}ms,{budget.cost_cents}c)",
                     )
+                if workflow is None or registry is None:
+                    note(P_GRANT_FEASIBILITY, completion, "missing manager or selector state")
+                    continue
+                ontology_of = dict(workflow.activities)
+                for aa in instance.activities:
+                    offered = registry.query(ontology_of.get(aa.aa_name))
+                    if (aa.ws.endpoint, aa.ws.advertised_qos) not in [
+                        (c.candidate_id, c.qos) for c in offered
+                    ]:
+                        note(
+                            P_GRANT_FEASIBILITY,
+                            completion,
+                            f"client {cid!r} bound {aa.aa_name!r} to {aa.ws.endpoint!r}, "
+                            f"which the registry does not offer at that QoS for that activity",
+                        )
             else:
                 rejection_index = replies[MessageKind.DENIED_REPLY][0]
                 if workflow is None or registry is None:

@@ -50,7 +50,8 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _read_records(path: str | Path) -> list[dict]:
+def _read_records(path: str | Path) -> list[tuple[int, dict]]:
+    """The records of a JSONL file, each with its line number."""
     records = []
     text = Path(path).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -62,7 +63,7 @@ def _read_records(path: str | Path) -> list[dict]:
             raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "record" not in record:
             raise FormatError(f"{path}:{line_no}: expected a record object")
-        records.append(record)
+        records.append((line_no, record))
     return records
 
 
@@ -181,7 +182,7 @@ def workflow_from_record(record: dict) -> WorkflowDef:
 
 
 def load_workflow(path: str | Path) -> WorkflowDef:
-    records = [r for r in _read_records(path) if r["record"] == "workflow"]
+    records = [r for _, r in _read_records(path) if r["record"] == "workflow"]
     if len(records) != 1:
         raise FormatError(f"{path}: expected exactly one workflow record, got {len(records)}")
     return workflow_from_record(records[0])
@@ -216,7 +217,7 @@ def request_from_record(record: dict) -> WsoRequest:
 def load_requests(path: str | Path) -> list[WsoRequest]:
     return [
         request_from_record(record)
-        for record in _read_records(path)
+        for _, record in _read_records(path)
         if record["record"] == "request"
     ]
 
@@ -359,26 +360,6 @@ def config_from_record(record: dict) -> Configuration:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
 
-def _changed_actors(source: Configuration, target: Configuration) -> list[dict]:
-    before = dict(source.actors)
-    after = dict(target.actors)
-    changed = []
-    for address in sorted(set(before) | set(after)):
-        if before.get(address) != after.get(address):
-            changed.append(
-                {
-                    "address": address,
-                    "before": None
-                    if address not in before
-                    else actor_to_record(address, before[address]),
-                    "after": None
-                    if address not in after
-                    else actor_to_record(address, after[address]),
-                }
-            )
-    return changed
-
-
 def transition_to_record(trace_index: int, index: int, transition: Transition) -> dict:
     return {
         "record": "transition",
@@ -387,7 +368,14 @@ def transition_to_record(trace_index: int, index: int, transition: Transition) -
         "rule": transition.rule.value,
         "consumed": message_to_record(transition.message),
         "emitted": [message_to_record(m) for m in transition.emitted],
-        "changed": _changed_actors(transition.source, transition.target),
+        "changed": [
+            {
+                "address": address,
+                "before": None if before is None else actor_to_record(address, before),
+                "after": None if after is None else actor_to_record(address, after),
+            }
+            for address, before, after in transition.source.changes(transition.target)
+        ],
     }
 
 
@@ -412,42 +400,62 @@ def _apply_transition_record(config: Configuration, record: dict) -> Transition:
     rule = RuleId(record["rule"])
     changed: dict[str, object] = {}  # address -> snapshot, None when removed
     for change in record["changed"]:
+        address = _text(change, "address")
+        prior = config.actor(address)
+        before = (address, None) if change["before"] is None else actor_from_record(change["before"])
+        if before[0] != address or type(before[1]) is not type(prior):
+            raise FormatError(
+                f"changed actor {address!r}: 'before' is not a snapshot of the source's actor"
+            )
         if change["after"] is None:
-            changed[change["address"]] = None
-        else:
-            address, snapshot = actor_from_record(change["after"])
-            changed[address] = snapshot
+            changed[address] = None
+            continue
+        after_address, changed[address] = actor_from_record(change["after"])
+        if after_address != address:
+            raise FormatError(f"changed actor {address!r}: 'after' is at {after_address!r}")
     target = config.advance(consumed, changed, emitted)
     return Transition(source=config, rule=rule, message=consumed, target=target, emitted=emitted)
 
 
-def _trace_index(record: dict) -> int:
-    index = record.get("trace", 0)
-    if not isinstance(index, int):
-        where = "trace record"
-        if record["record"] == "transition":
-            where = f"transition {record.get('index')!r}"
-        raise FormatError(f"{where}: trace index {index!r} is not an integer")
-    return index
-
-
 def traces_from_records(records: Sequence[dict]) -> list[Trace]:
+    """Reassemble the traces a list of trace and transition records holds."""
+    return _reassemble([(None, record) for record in records], None)
+
+
+def _reassemble(
+    numbered: Sequence[tuple[int | None, dict]], path: str | Path | None
+) -> list[Trace]:
+    """Reassemble traces from (line, record) pairs; an error names the path
+    and the line of the record at fault, where known."""
+
+    def error(line: int | None, text: str) -> FormatError:
+        return FormatError(text if path is None else f"{path}:{line}: {text}")
+
+    def trace_index(line: int | None, record: dict) -> int:
+        index = record.get("trace", 0)
+        if not isinstance(index, int):
+            where = "trace record"
+            if record["record"] == "transition":
+                where = f"transition {record.get('index')!r}"
+            raise error(line, f"{where}: trace index {index!r} is not an integer")
+        return index
+
     by_trace: dict[int, dict] = {}
-    for record in records:
+    for line, record in numbered:
         if record["record"] == "trace":
-            index = _trace_index(record)
+            index = trace_index(line, record)
             if index in by_trace:
-                raise FormatError(f"duplicate trace record {index}")
+                raise error(line, f"duplicate trace record {index}")
             if "initial" not in record:
-                raise FormatError(f"trace {index}: trace record without an initial configuration")
-            by_trace[index] = {"initial": record["initial"], "transitions": []}
+                raise error(line, f"trace {index}: trace record without an initial configuration")
+            by_trace[index] = {"line": line, "initial": record["initial"], "transitions": []}
         elif record["record"] == "transition":
-            index = _trace_index(record)
+            index = trace_index(line, record)
             if index not in by_trace:
-                raise FormatError(f"transition for unknown trace {index}")
+                raise error(line, f"transition for unknown trace {index}")
             if not isinstance(record.get("index"), int):
-                raise FormatError(f"trace {index}: transition record without an integer index")
-            by_trace[index]["transitions"].append(record)
+                raise error(line, f"trace {index}: transition record without an integer index")
+            by_trace[index]["transitions"].append((line, record))
 
     traces = []
     for index in sorted(by_trace):
@@ -455,19 +463,19 @@ def traces_from_records(records: Sequence[dict]) -> list[Trace]:
         try:
             config = config_from_record(entry["initial"])
         except FormatError as exc:
-            raise FormatError(f"trace {index}: {exc}") from exc
+            raise error(entry["line"], f"trace {index}: {exc}") from exc
         initial = config
         steps = []
         expected = 0
-        for record in sorted(entry["transitions"], key=lambda r: r["index"]):
+        for line, record in sorted(entry["transitions"], key=lambda pair: pair[1]["index"]):
             if record["index"] != expected:
-                raise FormatError(
-                    f"trace {index}: expected transition {expected}, got {record['index']}"
+                raise error(
+                    line, f"trace {index}: expected transition {expected}, got {record['index']}"
                 )
             try:
                 transition = _apply_transition_record(config, record)
             except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"trace {index}, transition {expected}: {exc}") from exc
+                raise error(line, f"trace {index}, transition {expected}: {exc}") from exc
             expected += 1
             steps.append(transition)
             config = transition.target
@@ -483,11 +491,7 @@ def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
 
 
 def read_traces(path: str | Path) -> list[Trace]:
-    records = _read_records(path)
-    try:
-        return traces_from_records(records)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _reassemble(_read_records(path), path)
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,21 @@ class Configuration:
         pool.extend(m for m in emitted if address_role(m.receiver) is not Role.CLIENT)
         return Configuration(actors=tuple(actors), undelivered=tuple(pool))
 
+    def changes(
+        self, target: Configuration
+    ) -> list[tuple[str, ActorSnapshot | None, ActorSnapshot | None]]:
+        """The actors ``target`` adds, removes or replaces with an unequal
+        snapshot, as (address, before, after) ordered by address; ``None``
+        stands for an absent actor."""
+        before = dict(self.actors)
+        changed = []
+        for address, after in target.actors:
+            prior = before.pop(address, None)
+            if prior is not after and prior != after:
+                changed.append((address, prior, after))
+        changed.extend((address, prior, None) for address, prior in before.items())
+        return sorted(changed, key=lambda change: change[0])
+
     def instances(self) -> Iterator[tuple[str, WsoInstance]]:
         for address, snapshot in self.actors:
             if isinstance(snapshot, WsoInstance):
@@ -619,51 +634,37 @@ def undelivered_requests(config: Configuration) -> list[Message]:
     return sorted(pending, key=lambda m: m.client_id)
 
 
-def _address_resolvable(actors: Mapping[str, ActorSnapshot], address: str) -> bool:
+def snapshot_error(address: str, snapshot: ActorSnapshot) -> str | None:
+    """Check that a snapshot has the type its address's role holds and, for
+    instances and client records, carries the client id of its address."""
     role = address_role(address)
-    if role is None:
-        return False
-    if role in (Role.MANAGER, Role.SELECTOR, Role.CLIENT, Role.INSTANCE):
-        return address in actors
-    # Activity and service addresses resolve through the owning instance.
-    client_id = address_client_id(address)
-    aa_name = address_aa_name(address)
-    if client_id is None or aa_name is None:
-        return False
-    instance = actors.get(instance_address(client_id))
-    if not isinstance(instance, WsoInstance) or aa_name not in instance.activity_names():
-        return False
-    if role is Role.SERVICE:
-        return get_aa(instance, aa_name).ws.bound
-    return True
+    if role not in _ROLE_SNAPSHOT_TYPES or not isinstance(snapshot, _ROLE_SNAPSHOT_TYPES[role]):
+        return f"address {address!r} holds a {type(snapshot).__name__} snapshot"
+    if isinstance(snapshot, WsoInstance) and address != instance_address(snapshot.client_id):
+        return f"instance at {address!r} labelled {snapshot.client_id!r}"
+    if isinstance(snapshot, ClientRecord) and address != client_address(snapshot.client_id):
+        return f"client record at {address!r} labelled {snapshot.client_id!r}"
+    return None
 
 
-def configuration_errors(config: Configuration) -> list[str]:
-    """Address, snapshot-type, and message-vocabulary violations of one
-    configuration.  Instance lifecycle constraints are a separate concern;
-    see :func:`instance_errors`."""
-    errors: list[str] = []
-    actors = dict(config.actors)
-    for address, snapshot in config.actors:
-        role = address_role(address)
-        expected = _ROLE_SNAPSHOT_TYPES.get(role) if role is not None else None
-        if expected is None or not isinstance(snapshot, expected):
-            errors.append(f"address {address!r} holds a {type(snapshot).__name__} snapshot")
-            continue
-        if isinstance(snapshot, WsoInstance) and address != instance_address(snapshot.client_id):
-            errors.append(f"instance at {address!r} labelled {snapshot.client_id!r}")
-        if isinstance(snapshot, ClientRecord) and address != client_address(snapshot.client_id):
-            errors.append(f"client record at {address!r} labelled {snapshot.client_id!r}")
-    for message in config.undelivered:
-        schema_error = message_schema_error(message)
-        if schema_error is not None:
-            errors.append(schema_error)
-        for address in (message.sender, message.receiver):
-            if not _address_resolvable(actors, address):
-                errors.append(
-                    f"{message.kind.value} references unresolvable address {address!r}"
-                )
-    return errors
+def resolvable_addresses(address: str, snapshot: ActorSnapshot) -> list[str]:
+    """The message addresses an actor makes resolvable: its own, at a role
+    that holds a snapshot, and an instance's activity and bound service
+    addresses, which parse back to it only when its client id has no ':'."""
+    if address_role(address) not in _ROLE_SNAPSHOT_TYPES:
+        return []
+    addresses = [address]
+    client_id = address.partition(":")[2]
+    if (
+        isinstance(snapshot, WsoInstance)
+        and address == instance_address(client_id)
+        and ":" not in client_id
+    ):
+        for aa in snapshot.activities:
+            addresses.append(activity_address(client_id, aa.aa_name))
+            if aa.ws.bound:
+                addresses.append(service_address(client_id, aa.aa_name))
+    return addresses
 
 
 # ---------------------------------------------------------------------------

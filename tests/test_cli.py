@@ -39,8 +39,9 @@ MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(LIST_ENTRY_PATHS), st.just("duplicate"), st.none()),
 )
 
-# Malformed records that once crashed `check`, each with where its error is
-# reported.  Line 0 is the trace record; line 3 is transition 2.
+# Malformed records that once crashed or passed `check`, each with where its
+# error is reported.  Record 0 (line 1) is the trace record; record 3 (line 4)
+# is transition 2, whose first changed actor is the client record "ca:c1".
 MALFORMED = {
     "trace-index-not-an-integer": (((3, ("trace",)), "replace", [0]), "transition 2: "),
     "duplicated-initial-actor": (((0, ("initial", "actors", 0)), "duplicate", None), "trace 0: "),
@@ -50,6 +51,35 @@ MALFORMED = {
         ((3, ("changed", 0, "after")), "replace", 5),
         "trace 0, transition 2: ",
     ),
+    "changed-before-not-an-object": (
+        ((3, ("changed", 0, "before")), "replace", 5),
+        "trace 0, transition 2: ",
+    ),
+    "changed-before-null-for-a-present-actor": (
+        ((3, ("changed", 0, "before")), "replace", None),
+        "trace 0, transition 2: ",
+    ),
+    "changed-before-at-another-address": (
+        ((3, ("changed", 0, "before", "address")), "replace", "x"),
+        "trace 0, transition 2: ",
+    ),
+    "changed-after-at-another-address": (
+        ((3, ("changed", 0, "after", "address")), "replace", "x"),
+        "trace 0, transition 2: ",
+    ),
+}
+
+# A `before` snapshot whose content disagrees with the running configuration
+# (the instance is Waiting there): well-formed, so the reader accepts it.
+BEFORE_STATE_DISAGREES = ((3, ("changed", 1, "before", "state")), "replace", "Completed")
+
+
+# Edits of every registry candidate in the golden trace's initial
+# configuration; the golden run's grants must match the registry.
+REGISTRY_EDITS = {
+    "unmodified": None,
+    "every-candidate-slow-and-expensive": lambda c: c.update(response_time_ms=9999, cost_cents=1000),
+    "candidate-ids-renamed": lambda c: c.update(candidate_id="renamed-" + c["candidate_id"]),
 }
 
 
@@ -195,11 +225,12 @@ class TestCheck:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_record_exits_one_naming_where(self, case, tmp_path, capsys):
         mutation, where = MALFORMED[case]
+        (record, _), _, _ = mutation
         path = tmp_path / "malformed.jsonl"
         write_mutated_golden(path, mutation)
         assert invoke(["check", str(path)]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: {where}")
+        assert err.startswith(f"error: {path}:{record + 1}: {where}")
 
     @settings(
         max_examples=100,
@@ -212,6 +243,11 @@ class TestCheck:
     @example(mutation=MALFORMED["missing-initial"][0])
     @example(mutation=MALFORMED["initial-actor-not-an-object"][0])
     @example(mutation=MALFORMED["changed-after-not-an-object"][0])
+    @example(mutation=MALFORMED["changed-before-not-an-object"][0])
+    @example(mutation=MALFORMED["changed-before-null-for-a-present-actor"][0])
+    @example(mutation=MALFORMED["changed-before-at-another-address"][0])
+    @example(mutation=MALFORMED["changed-after-at-another-address"][0])
+    @example(mutation=BEFORE_STATE_DISAGREES)
     def test_mutated_golden_trace_never_crashes(self, mutation, tmp_path):
         path = tmp_path / "mutated.jsonl"
         write_mutated_golden(path, mutation)
@@ -220,6 +256,27 @@ class TestCheck:
             cli.EXIT_INPUT,
             cli.EXIT_VIOLATION,
         )
+
+    @pytest.mark.parametrize("case", sorted(REGISTRY_EDITS))
+    def test_grants_are_checked_against_the_registry(self, case, tmp_path, capsys):
+        records = copy.deepcopy(GOLDEN_RECORDS)
+        edit = REGISTRY_EDITS[case]
+        for actor in records[0]["initial"]["actors"]:
+            if actor["type"] == "selector" and edit is not None:
+                for candidate in actor["registry"]:
+                    edit(candidate)
+        path = tmp_path / "registry.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
+        )
+
+        code = invoke(["check", str(path)])
+        err = capsys.readouterr().err
+        if edit is None:
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_VIOLATION
+            assert "violation grant-feasibility" in err
 
     def test_empty_trace_file_is_vacuously_ok(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -18,7 +18,7 @@ from qosorch.conformance import (
     check_service,
     check_system,
 )
-from qosorch.model import RuleId
+from qosorch.model import RuleId, instance_address
 
 
 def properties(verdict):
@@ -92,6 +92,55 @@ class TestBehavior:
         assert any(
             "Waiting -> Servicing" in v.witness for v in system.violations
         )
+
+
+    def test_mislabelled_snapshot_is_reported_where_it_appears(self, minimal_two):
+        trace = engine.run(
+            minimal_two.workflow, minimal_two.registry, minimal_two.requests, seed=0
+        )
+        address = instance_address("c2")
+        changing = [
+            record["index"]
+            for record in formats.trace_to_records(trace)
+            if record["record"] == "transition"
+            and any(change["address"] == address for change in record["changed"])
+        ]
+        last = changing[-1]
+        assert last < len(trace) - 1  # later configurations still hold the snapshot
+
+        def mislabel(records):
+            for change in records[last + 1]["changed"]:
+                if change["address"] == address:
+                    change["after"]["request"]["client_id"] = "c9"
+
+        verdict = check_behavior(reload_with_edit(trace, mislabel))
+        mislabelled = [v for v in verdict.violations if "labelled 'c9'" in v.witness]
+        assert [v.transition_index for v in mislabelled] == [last]
+        assert mislabelled[0].property_id == P_MESSAGE_VOCABULARY
+
+    def test_removed_instance_leaves_its_pending_invoke_unresolvable(self, minimal_two):
+        trace = engine.run(
+            minimal_two.workflow, minimal_two.registry, minimal_two.requests, seed=0
+        )
+        records = formats.trace_to_records(trace)
+        grant = next(r for r in records if r.get("rule") == RuleId.R2B_SELECT_GRANTED.value)
+        invoke = next(m for m in grant["emitted"] if m["kind"] == "invoke")
+        consume = next(r for r in records if r.get("consumed") == invoke)
+        removal = consume["index"] - 1
+        assert removal > grant["index"]  # the invoke is pending at the removal
+        granted = next(c for c in grant["changed"] if c["address"] == instance_address("c1"))
+
+        def remove_instance(records):
+            records[removal + 1]["changed"].append(
+                {"address": instance_address("c1"), "before": granted["after"], "after": None}
+            )
+            del records[removal + 2:]
+
+        verdict = check_behavior(reload_with_edit(trace, remove_instance))
+        unresolvable = [v for v in verdict.violations if "unresolvable address" in v.witness]
+        assert {v.transition_index for v in unresolvable} == {removal}
+        assert {v.property_id for v in unresolvable} == {P_MESSAGE_VOCABULARY}
+        assert any(repr(invoke["receiver"]) in v.witness for v in unresolvable)
 
 
 class TestSystem:

@@ -8,6 +8,7 @@ from qosorch.model import (
     ACTIVITY_SUCCESSORS,
     ActivityActor,
     ActivityState,
+    ClientRecord,
     Configuration,
     INSTANCE_SUCCESSORS,
     InstanceState,
@@ -351,6 +352,37 @@ class TestConfigurationAccessors:
         config = Configuration(actors=(), undelivered=(m1, notify, m2))
         assert [m.client_id for m in undelivered_requests(config)] == ["c0", "c1"]
         assert undelivered_requests(Configuration(actors=())) == []
+
+    def test_changes_are_added_removed_and_replaced_actors_by_address(self):
+        kept = WsoInstance.create(make_request("c1"), ["A"])
+        removed = WsoInstance.create(make_request("c2"), ["A"])
+        replaced = WsoInstance.create(make_request("c3"), ["A"])
+        source = self.make_config(replaced, kept, removed)
+        granted = dataclasses.replace(replaced, state=InstanceState.GRANTED)
+        equal_copy = dataclasses.replace(kept)
+        assert equal_copy == kept and equal_copy is not kept
+        added = ClientRecord("c0")
+        target = Configuration(
+            actors=(
+                (instance_address("c3"), granted),
+                (instance_address("c1"), equal_copy),
+                (client_address("c0"), added),
+            )
+        )
+        assert source.changes(target) == [
+            (client_address("c0"), None, added),
+            (instance_address("c2"), removed, None),
+            (instance_address("c3"), replaced, granted),
+        ]
+        assert target.changes(source) == [
+            (client_address("c0"), added, None),
+            (instance_address("c2"), None, removed),
+            (instance_address("c3"), granted, replaced),
+        ]
+        assert source.changes(source) == []
+        assert Configuration(actors=()).changes(source) == [
+            (address, None, snapshot) for address, snapshot in source.actors
+        ]
 
     def test_duplicate_addresses_rejected(self):
         instance = WsoInstance.create(make_request(), ["A"])
