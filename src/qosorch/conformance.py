@@ -24,6 +24,7 @@ separate implementation from the selector the engine uses.
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,7 @@ from .model import (
     SS_ADDRESS,
     SelectorState,
     Trace,
+    Transition,
     WSOIM_ADDRESS,
     WsoInstance,
     activity_state_can_follow,
@@ -142,14 +144,92 @@ def _replay_selector(emitted: Sequence[Message]):
     return selector
 
 
-def _changes(trace: Trace):
-    """Each configuration's position, the actors it changed, its pool and the
-    messages new in it.  The initial configuration, at position None, counts
-    as a change from the empty configuration."""
+_EMPTY = Configuration(actors=())
+
+
+def _steps(trace: Trace):
+    """Each configuration of a trace as (position, introducer, source, target,
+    new messages).  The introducer is the object that brings the
+    configuration in: its transition, or for the initial configuration, at
+    position None, the configuration itself, which counts as a change from
+    the empty configuration."""
     initial = trace.initial
-    yield None, Configuration(actors=()).changes(initial), initial.undelivered, initial.undelivered
+    yield None, initial, _EMPTY, initial, initial.undelivered
     for index, t in enumerate(trace.steps):
-        yield index, t.source.changes(t.target), t.target.undelivered, t.emitted
+        yield index, t, t.source, t.target, t.emitted
+
+
+# The per-transition results of check_behavior, shared by every trace one
+# check_pyramid call checks.  Explored trace sets share Transition objects,
+# and each is checked once; the memo lives for that one call.
+_behavior_memo: ContextVar[dict | None] = ContextVar("_behavior_memo", default=None)
+
+
+def _introduced_notes(source, target, new_messages, resolvable: set[str]) -> list[tuple[str, str]]:
+    """(property, witness) for the snapshots and messages a configuration
+    introduces and for its pool's addresses.  Moves resolvable from the
+    source's addresses to the target's."""
+    notes: list[tuple[str, str]] = []
+    for address, before, after in source.changes(target):
+        if before is not None:
+            resolvable.difference_update(resolvable_addresses(address, before))
+        if after is None:
+            continue
+        resolvable.update(resolvable_addresses(address, after))
+        error = snapshot_error(address, after)
+        if error is not None:
+            notes.append((P_MESSAGE_VOCABULARY, error))
+        if not isinstance(after, WsoInstance):
+            continue
+        if not isinstance(after.state, InstanceState):
+            witness = f"instance {after.client_id!r} has state {after.state!r}"
+            notes.append((P_STATE_DOMAIN, witness))
+        for aa in after.activities:
+            if not isinstance(aa.state, ActivityState):
+                notes.append((P_STATE_DOMAIN, f"activity {aa.aa_name!r} has state {aa.state!r}"))
+    for message in target.undelivered:
+        for address in (message.sender, message.receiver):
+            if address not in resolvable:
+                notes.append(
+                    (
+                        P_MESSAGE_VOCABULARY,
+                        f"{message.kind.value} references unresolvable address {address!r}",
+                    )
+                )
+    for message in new_messages:
+        schema_error = message_schema_error(message)
+        if schema_error is not None:
+            notes.append((P_MESSAGE_VOCABULARY, schema_error))
+    return notes
+
+
+def _replay_notes(transition: Transition) -> list[tuple[str, str]]:
+    """(property, witness) for a transition the rule engine does not
+    reproduce."""
+    selector = None
+    if transition.rule is RuleId.R5_SS_SELECT:
+        selector = _replay_selector(transition.emitted)
+    try:
+        replayed = engine_mod.step(transition.source, transition.message, selector=selector)
+    except engine_mod.MessageNotPendingError:
+        return [(P_RULE_REPLAY, "consumed message was not pending")]
+    except engine_mod.NotDeliverableError:
+        return [(P_DELIVERY_ORDER, "consumed message overtook an older one on its channel")]
+    except Exception as exc:  # corrupted data can break replay anywhere
+        return [(P_RULE_REPLAY, f"replay failed: {exc}")]
+    notes = []
+    if replayed.rule is not transition.rule:
+        notes.append(
+            (
+                P_RULE_REPLAY,
+                f"recorded rule {transition.rule.value}, replay fired {replayed.rule.value}",
+            )
+        )
+    if replayed.emitted != transition.emitted:
+        notes.append((P_RULE_REPLAY, "emitted messages differ from replay"))
+    if replayed.target != transition.target:
+        notes.append((P_RULE_REPLAY, "target configuration differs from replay"))
+    return notes
 
 
 def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
@@ -160,77 +240,42 @@ def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
     selection decision itself is taken as recorded (the selector is free to
     grant or deny at this layer); everything downstream of the decision must
     be reproducible mechanically.
+
+    What a transition yields depends on the transition alone, so under
+    check_pyramid a transition that several traces share is checked once and
+    its violations are stamped at each (trace, index) where it occurs.  The
+    one piece of running state is the set of resolvable addresses, which is
+    a function of the configuration's actors: resolvable_addresses gives
+    disjoint sets for distinct actor addresses, so removing a replaced
+    actor's addresses and adding its successor's leaves exactly the union
+    over the target's actors.  After a transition checked earlier the set is
+    not kept up to date, and the next transition checked afresh rebuilds it
+    from its source's actors.
     """
+    memo = _behavior_memo.get()
+    if memo is None:
+        memo = {}
     violations: list[Violation] = []
-
-    def note(property_id: str, index: int | None, witness: str) -> None:
-        violations.append(Violation(property_id, trace_index, index, witness))
-
-    resolvable: set[str] = set()
-    for index, changes, pool, new_messages in _changes(trace):
-        for address, before, after in changes:
-            if before is not None:
-                resolvable.difference_update(resolvable_addresses(address, before))
-            if after is None:
-                continue
-            resolvable.update(resolvable_addresses(address, after))
-            error = snapshot_error(address, after)
-            if error is not None:
-                note(P_MESSAGE_VOCABULARY, index, error)
-            if not isinstance(after, WsoInstance):
-                continue
-            if not isinstance(after.state, InstanceState):
-                note(P_STATE_DOMAIN, index, f"instance {after.client_id!r} has state {after.state!r}")
-            for aa in after.activities:
-                if not isinstance(aa.state, ActivityState):
-                    note(P_STATE_DOMAIN, index, f"activity {aa.aa_name!r} has state {aa.state!r}")
-        for message in pool:
-            for address in (message.sender, message.receiver):
-                if address not in resolvable:
-                    note(
-                        P_MESSAGE_VOCABULARY,
-                        index,
-                        f"{message.kind.value} references unresolvable address {address!r}",
-                    )
-        for message in new_messages:
-            schema_error = message_schema_error(message)
-            if schema_error is not None:
-                note(P_MESSAGE_VOCABULARY, index, schema_error)
-        if index is None:
-            continue
-
-        transition = trace.steps[index]
-        selector = None
-        if transition.rule is RuleId.R5_SS_SELECT:
-            selector = _replay_selector(transition.emitted)
-        try:
-            replayed = engine_mod.step(
-                transition.source, transition.message, selector=selector
-            )
-        except engine_mod.MessageNotPendingError:
-            note(P_RULE_REPLAY, index, "consumed message was not pending")
-            continue
-        except engine_mod.NotDeliverableError:
-            note(
-                P_DELIVERY_ORDER,
-                index,
-                "consumed message overtook an older one on its channel",
-            )
-            continue
-        except Exception as exc:  # corrupted data can break replay anywhere
-            note(P_RULE_REPLAY, index, f"replay failed: {exc}")
-            continue
-        if replayed.rule is not transition.rule:
-            note(
-                P_RULE_REPLAY,
-                index,
-                f"recorded rule {transition.rule.value}, replay fired {replayed.rule.value}",
-            )
-        if replayed.emitted != transition.emitted:
-            note(P_RULE_REPLAY, index, "emitted messages differ from replay")
-        if replayed.target != transition.target:
-            note(P_RULE_REPLAY, index, "target configuration differs from replay")
-
+    resolvable: set[str] | None = None  # None: rebuild from the next source's actors
+    for index, introducer, source, target, new_messages in _steps(trace):
+        # Entries hold their introducer, so no id is reused while a memo lives.
+        entry = memo.get(id(introducer))
+        if entry is not None and entry[0] is introducer:
+            resolvable = None
+        else:
+            if resolvable is None:
+                resolvable = {
+                    resolved
+                    for address, snapshot in source.actors
+                    for resolved in resolvable_addresses(address, snapshot)
+                }
+            notes = _introduced_notes(source, target, new_messages, resolvable)
+            if index is not None:
+                notes.extend(_replay_notes(introducer))
+            entry = memo[id(introducer)] = (introducer, notes)
+        violations.extend(
+            Violation(property_id, trace_index, index, witness) for property_id, witness in entry[1]
+        )
     return Verdict.from_violations(violations)
 
 
@@ -298,20 +343,19 @@ def _check_creation(trace, note) -> None:
             note(P_CREATION_SNAPSHOT, index, problem)
 
 
-def _check_succession(prior: WsoInstance, current, index: int, note) -> None:
+def _check_succession(prior: WsoInstance, current, note) -> None:
     """Constancy and monotonicity of an instance replaced at one address."""
     cid = prior.client_id
     if not isinstance(current, WsoInstance):
-        note(P_REQUEST_CONSTANCY, index, f"instance {cid!r} disappeared")
+        note(P_REQUEST_CONSTANCY, f"instance {cid!r} disappeared")
         return
     if current.request != prior.request:
-        note(P_REQUEST_CONSTANCY, index, f"request of {cid!r} changed")
+        note(P_REQUEST_CONSTANCY, f"request of {cid!r} changed")
     if set(current.activity_names()) != set(prior.activity_names()):
-        note(P_REQUEST_CONSTANCY, index, f"activity set of {cid!r} changed")
+        note(P_REQUEST_CONSTANCY, f"activity set of {cid!r} changed")
     if not instance_state_can_follow(prior.state, current.state):
         note(
             P_STATE_MONOTONICITY,
-            index,
             f"instance {cid!r} moved {prior.state.value} -> {current.state.value}",
         )
     current_states = {aa.aa_name: aa.state for aa in current.activities}
@@ -320,39 +364,61 @@ def _check_succession(prior: WsoInstance, current, index: int, note) -> None:
         if state is not None and not activity_state_can_follow(prior_aa.state, state):
             note(
                 P_STATE_MONOTONICITY,
-                index,
                 f"activity {prior_aa.aa_name!r} of {cid!r} moved "
                 f"{prior_aa.state.value} -> {state.value}",
             )
 
 
-def _check_lifecycle(trace, note) -> None:
+def _lifecycle_changes(source: Configuration, target: Configuration):
+    """What one configuration change means to the instances: (property,
+    witness) for its succession and binding faults, and (address, state) for
+    each new instance snapshot."""
+    notes: list[tuple[str, str]] = []
+    states: list[tuple[str, InstanceState]] = []
+
+    def note(property_id: str, witness: str) -> None:
+        notes.append((property_id, witness))
+
+    for address, prior, current in source.changes(target):
+        if isinstance(prior, WsoInstance):
+            _check_succession(prior, current, note)
+        if not isinstance(current, WsoInstance):
+            continue
+        states.append((address, current.state))
+        cid = current.client_id
+        bound = [aa.aa_name for aa in current.activities if aa.ws.bound]
+        if current.state is InstanceState.DENIED and bound:
+            note(P_DENIED_UNBOUND, f"denied instance {cid!r} holds bindings {bound}")
+        if bound and current.state not in (
+            InstanceState.GRANTED,
+            InstanceState.SERVICING,
+            InstanceState.COMPLETED,
+        ):
+            note(
+                P_BINDING_REQUIRES_GRANT,
+                f"instance {cid!r} is {current.state.value} with bindings {bound}",
+            )
+    return notes, states
+
+
+def _check_lifecycle(trace, note, memo: dict) -> None:
     """One walk over the changes, following each instance by its address:
     succession where a prior instance is replaced, binding constraints on
     each new instance snapshot, and progress of the final instances judged
-    from the states each went through."""
+    from the states each went through.  What a change means depends on the
+    change alone, so memo keeps it per introducer for the whole trace set;
+    only the visited states are kept per trace."""
     visited: dict[str, set[InstanceState]] = {}
-    for index, changes, _, _ in _changes(trace):
-        for address, prior, current in changes:
-            if isinstance(prior, WsoInstance):
-                _check_succession(prior, current, index, note)
-            if not isinstance(current, WsoInstance):
-                continue
-            visited.setdefault(address, set()).add(current.state)
-            cid = current.client_id
-            bound = [aa.aa_name for aa in current.activities if aa.ws.bound]
-            if current.state is InstanceState.DENIED and bound:
-                note(P_DENIED_UNBOUND, index, f"denied instance {cid!r} holds bindings {bound}")
-            if bound and current.state not in (
-                InstanceState.GRANTED,
-                InstanceState.SERVICING,
-                InstanceState.COMPLETED,
-            ):
-                note(
-                    P_BINDING_REQUIRES_GRANT,
-                    index,
-                    f"instance {cid!r} is {current.state.value} with bindings {bound}",
-                )
+    for index, introducer, source, target, _ in _steps(trace):
+        # Entries hold their introducer, so no id is reused while a memo lives.
+        entry = memo.get(id(introducer))
+        if entry is None or entry[0] is not introducer:
+            entry = memo[id(introducer)] = (introducer, _lifecycle_changes(source, target))
+        notes, states = entry[1]
+        for property_id, witness in notes:
+            note(property_id, index, witness)
+        for address, state in states:
+            visited.setdefault(address, set()).add(state)
     for address, instance in trace.final.instances():
         cid = instance.client_id
         states = visited[address]
@@ -372,16 +438,18 @@ def _check_lifecycle(trace, note) -> None:
 def check_system(traces: Sequence[Trace]) -> Verdict:
     """Check instance-lifecycle and binding-state constraints over a trace set.
 
-    All traces must start from the same initial configuration.
+    All traces must start from the same initial configuration.  A transition
+    that several traces share is examined once.
     """
     _require_shared_initial(traces)
     violations: list[Violation] = []
+    memo: dict = {}
     for trace_index, trace in enumerate(traces):
         def note(property_id: str, transition_index: int | None, witness: str) -> None:
             violations.append(Violation(property_id, trace_index, transition_index, witness))
 
         _check_creation(trace, note)
-        _check_lifecycle(trace, note)
+        _check_lifecycle(trace, note, memo)
     return Verdict.from_violations(violations)
 
 
@@ -391,14 +459,20 @@ def check_system(traces: Sequence[Trace]) -> Verdict:
 def _oracle_feasible(
     request_qos: QoSSpec, ontologies: Sequence[str], registry: Registry
 ) -> bool:
-    """Independent brute-force feasibility check over all candidate combos."""
-    slots = [registry.query(ontology) for ontology in ontologies]
+    """Independent brute-force feasibility check over all candidate combos.
+
+    A combination's response time is its slowest candidate's, so only
+    candidates within the time bound can take part: each slot is cut to
+    those before the combinations of the rest are enumerated."""
+    bound = request_qos.response_time_ms
+    slots = [
+        [c for c in registry.query(ontology) if c.qos.response_time_ms <= bound]
+        for ontology in ontologies
+    ]
     if any(not slot for slot in slots):
         return False
     for combo in itertools.product(*slots):
-        worst = max(c.qos.response_time_ms for c in combo)
-        total = sum(c.qos.cost_cents for c in combo)
-        if worst <= request_qos.response_time_ms and total <= request_qos.cost_cents:
+        if sum(c.qos.cost_cents for c in combo) <= request_qos.cost_cents:
             return True
     return False
 
@@ -469,7 +543,13 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
                 worst = max(q.response_time_ms for q in bound)
                 total = sum(q.cost_cents for q in bound)
                 budget = request_msg.qos
-                if worst > budget.response_time_ms or total > budget.cost_cents:
+                if budget is None:
+                    note(
+                        P_GRANT_FEASIBILITY,
+                        completion,
+                        f"request of client {cid!r} carries no QoS budget",
+                    )
+                elif worst > budget.response_time_ms or total > budget.cost_cents:
                     note(
                         P_GRANT_FEASIBILITY,
                         completion,
@@ -496,6 +576,13 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
                 if workflow is None or registry is None:
                     note(P_DENIAL_ORACLE, rejection_index, "missing manager or selector state")
                     continue
+                if request_msg.qos is None:
+                    note(
+                        P_DENIAL_ORACLE,
+                        rejection_index,
+                        f"request of client {cid!r} carries no QoS budget",
+                    )
+                    continue
                 ontologies = [ontology for _, ontology in workflow.activities]
                 if _oracle_feasible(request_msg.qos, ontologies, registry):
                     note(
@@ -517,8 +604,12 @@ def check_pyramid(traces: Sequence[Trace]) -> PyramidVerdict:
     witnesses that the trace set breaks one of the refinement implications.
     """
     behavior_violations: list[Violation] = []
-    for trace_index, trace in enumerate(traces):
-        behavior_violations.extend(check_behavior(trace, trace_index).violations)
+    token = _behavior_memo.set({})
+    try:
+        for trace_index, trace in enumerate(traces):
+            behavior_violations.extend(check_behavior(trace, trace_index).violations)
+    finally:
+        _behavior_memo.reset(token)
     behavior = Verdict.from_violations(behavior_violations)
     system = check_system(traces)
     service = check_service(traces)

@@ -18,7 +18,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .model import (
     ActivityState,
@@ -59,6 +59,9 @@ DEFAULT_MAX_TRACES = 100_000
 
 # How the selector resolves one selection request.  Injected so that replay
 # can reproduce a recorded decision and tests can install faulty selectors.
+# A selector must be pure: explore steps each distinct configuration once and
+# so calls the selector once per distinct selection, sharing its answer among
+# every path that reaches that selection.
 Selector = Callable[[WsoRequest, WorkflowDef, Registry], AllocationResult]
 
 
@@ -550,6 +553,19 @@ def run(
     return Trace(initial=initial, steps=steps)
 
 
+class _Node:
+    """One configuration of the graph :func:`explore` builds: its schedulable
+    messages and, filled in as the search first takes each, the transition it
+    fires and the node of its target."""
+
+    __slots__ = ("config", "options", "edges")
+
+    def __init__(self, config: Configuration) -> None:
+        self.config = config
+        self.options = _schedulable(config)
+        self.edges: list[tuple[Transition, _Node] | None] = [None] * len(self.options)
+
+
 def explore(
     workflow: WorkflowDef,
     registry: Registry,
@@ -565,11 +581,27 @@ def explore(
     The search branches on distinct deliverable messages, so no two traces
     share a label sequence.  Exceeding max_transitions on any path, or
     max_traces overall, raises StateSpaceLimitError.
+
+    The configuration graph is built lazily as the depth-first search
+    enumerates paths.  Configurations are interned, so every path reaching
+    one shares its object, its schedulable messages and its outgoing
+    transitions: :func:`step` runs once per distinct (configuration, message)
+    edge, and the returned traces share :class:`Transition` objects.  This is
+    exact because step is a pure function of the configuration and the
+    message: the rules read nothing else, and the selector is pure (see
+    :data:`Selector`).
     """
     if max_transitions < 1:
         raise ValueError("max_transitions must be positive")
     initial = initial_configuration(workflow, registry, requests)
     traces: list[Trace] = []
+    nodes: dict[Configuration, _Node] = {}
+
+    def node(config: Configuration) -> _Node:
+        found = nodes.get(config)
+        if found is None:
+            found = nodes[config] = _Node(config)
+        return found
 
     def collect(prefix: list[Transition]) -> None:
         trace = Trace(initial=initial, steps=tuple(prefix))
@@ -578,26 +610,33 @@ def explore(
         if len(traces) > max_traces:
             raise StateSpaceLimitError(f"more than {max_traces} maximal traces")
 
-    # Depth-first search with an explicit stack; prefix mirrors the path to
-    # the configuration on top of the stack.
+    # Depth-first search with an explicit stack of (node, next option);
+    # prefix mirrors the path to the node on top of the stack.
     prefix: list[Transition] = []
-    options = _schedulable(initial)
-    if not options:
+    root = node(initial)
+    if not root.options:
         collect(prefix)
         return tuple(traces)
-    stack: list[tuple[Configuration, Iterator[Message]]] = [(initial, iter(options))]
+    stack: list[list] = [[root, 0]]
     while stack:
-        config, pending = stack[-1]
-        message = next(pending, None)
-        if message is None:
+        entry = stack[-1]
+        current, position = entry
+        if position == len(current.options):
             stack.pop()
             if prefix:
                 prefix.pop()
             continue
-        transition = step(config, message, selector=selector)
+        entry[1] = position + 1
+        edge = current.edges[position]
+        if edge is None:
+            transition = step(current.config, current.options[position], selector=selector)
+            child = node(transition.target)
+            if child.config is not transition.target:
+                transition = replace(transition, target=child.config)
+            edge = current.edges[position] = (transition, child)
+        transition, child = edge
         prefix.append(transition)
-        child_options = _schedulable(transition.target)
-        if not child_options:
+        if not child.options:
             collect(prefix)
             prefix.pop()
         elif len(prefix) >= max_transitions:
@@ -605,5 +644,5 @@ def explore(
                 f"a path exceeded {max_transitions} transitions without terminating"
             )
         else:
-            stack.append((transition.target, iter(child_options)))
+            stack.append([child, 0])
     return tuple(traces)

@@ -357,13 +357,16 @@ def address_role(address: str) -> Role | None:
 
 
 def address_client_id(address: str) -> str | None:
-    """The client id embedded in a client/instance/activity/service address."""
+    """The client id embedded in a client/instance/activity/service address;
+    None for other roles and for a bare role prefix such as ``"aa"``."""
     role = address_role(address)
     if role in (Role.CLIENT, Role.INSTANCE):
-        return address.split(":", 1)[1]
-    if role in (Role.ACTIVITY, Role.SERVICE):
-        return address.split(":", 2)[1]
-    return None
+        parts = address.split(":", 1)
+    elif role in (Role.ACTIVITY, Role.SERVICE):
+        parts = address.split(":", 2)
+    else:
+        return None
+    return parts[1] if len(parts) > 1 else None
 
 
 def address_aa_name(address: str) -> str | None:

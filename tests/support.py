@@ -111,6 +111,26 @@ def count_interleavings(request_shapes: list[tuple[int, bool]]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Exploration oracle: a plain recursive depth-first search that calls step on
+# every path, sharing nothing between paths.
+
+def naive_explore(workflow, registry, requests) -> tuple[Trace, ...]:
+    initial = engine.initial_configuration(workflow, registry, requests)
+    traces: list[Trace] = []
+
+    def walk(config, prefix):
+        options = engine.enabled(config)
+        if not options:
+            traces.append(Trace(initial=initial, steps=tuple(prefix)))
+        for message, _ in options:
+            transition = engine.step(config, message)
+            walk(transition.target, prefix + [transition])
+
+    walk(initial, [])
+    return tuple(traces)
+
+
+# ---------------------------------------------------------------------------
 # Mutant selectors
 
 def always_grant_selector(request, workflow, registry) -> AllocationResult:

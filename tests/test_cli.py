@@ -74,6 +74,22 @@ MALFORMED = {
 BEFORE_STATE_DISAGREES = ((3, ("changed", 1, "before", "state")), "replace", "Completed")
 
 
+# Well-formed records whose content once crashed `check`, each with the
+# violation it must report instead (exit 4): a seeded request with no QoS
+# budget, and the first invoke (record 3, transition 2) sent to a bare role
+# prefix.
+BAD_CONTENT = {
+    "seeded-request-without-qos": (
+        ((0, ("initial", "undelivered", 0, "qos")), "delete", None),
+        "violation grant-feasibility",
+    ),
+    "invoke-to-a-bare-role-prefix": (
+        ((3, ("emitted", 1, "receiver")), "replace", "aa"),
+        "violation message-vocabulary",
+    ),
+}
+
+
 # Edits of every registry candidate in the golden trace's initial
 # configuration; the golden run's grants must match the registry.
 REGISTRY_EDITS = {
@@ -248,6 +264,8 @@ class TestCheck:
     @example(mutation=MALFORMED["changed-before-at-another-address"][0])
     @example(mutation=MALFORMED["changed-after-at-another-address"][0])
     @example(mutation=BEFORE_STATE_DISAGREES)
+    @example(mutation=BAD_CONTENT["seeded-request-without-qos"][0])
+    @example(mutation=BAD_CONTENT["invoke-to-a-bare-role-prefix"][0])
     def test_mutated_golden_trace_never_crashes(self, mutation, tmp_path):
         path = tmp_path / "mutated.jsonl"
         write_mutated_golden(path, mutation)
@@ -256,6 +274,14 @@ class TestCheck:
             cli.EXIT_INPUT,
             cli.EXIT_VIOLATION,
         )
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONTENT))
+    def test_bad_content_is_a_violation(self, case, tmp_path, capsys):
+        mutation, violation = BAD_CONTENT[case]
+        path = tmp_path / "bad.jsonl"
+        write_mutated_golden(path, mutation)
+        assert invoke(["check", str(path)]) == cli.EXIT_VIOLATION
+        assert violation in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(REGISTRY_EDITS))
     def test_grants_are_checked_against_the_registry(self, case, tmp_path, capsys):

@@ -1,6 +1,10 @@
+import collections
 import copy
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from qosorch import engine, formats
@@ -13,12 +17,17 @@ from qosorch.conformance import (
     P_REPLY_DICHOTOMY,
     P_RULE_REPLAY,
     P_STATE_MONOTONICITY,
+    P_UNIQUE_CREATION,
+    P_WAITING_PROGRESS,
+    _oracle_feasible,
     check_behavior,
     check_pyramid,
     check_service,
     check_system,
 )
-from qosorch.model import RuleId, instance_address
+from qosorch.model import Configuration, InstanceState, QoSSpec, RuleId, Trace, instance_address
+from qosorch.registry import Registry
+from qosorch.selection import CandidateService
 
 
 def properties(verdict):
@@ -210,6 +219,32 @@ class TestService:
         assert P_DENIAL_ORACLE in properties(verdict)
 
 
+class TestDenialOracle:
+    @given(st.integers(1, 3), st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_every_combination(self, n_ontologies, n_activities, data):
+        candidates = [
+            CandidateService(
+                f"o{o}c{c}",
+                f"O{o}",
+                QoSSpec(data.draw(st.integers(1, 5)) * 10, data.draw(st.integers(0, 3))),
+            )
+            for o in range(n_ontologies)
+            for c in range(data.draw(st.integers(1, 4)))
+        ]
+        ontologies = [
+            f"O{data.draw(st.integers(0, n_ontologies - 1))}" for _ in range(n_activities)
+        ]
+        # A time bound under a slot's fastest candidate empties that slot;
+        # one under 10 ms empties them all.
+        budget = QoSSpec(data.draw(st.integers(0, 60)), data.draw(st.integers(0, 12)))
+        registry = Registry.from_candidates(candidates)
+        slots = [registry.query(ontology) for ontology in ontologies]
+        assert _oracle_feasible(budget, ontologies, registry) == support.oracle_any_feasible(
+            budget, slots
+        )
+
+
 class TestPyramid:
     def test_engine_corpora_pass_all_layers(self, explored_corpora, minimal_run):
         verdict = check_pyramid(explored_corpora.sets["minimal-2req"])
@@ -255,3 +290,63 @@ class TestPyramid:
         assert verdict.first_failed == "behavior"
         # Dichotomy breaks too: the client saw both a denial and a completion.
         assert P_REPLY_DICHOTOMY in properties(verdict.service)
+
+    def test_shared_transitions_report_as_if_unshared(self, minimal_two, tmp_path):
+        """Explored traces share transitions, and each is checked once; the
+        report must equal that of the same set read back from a file, where
+        nothing is shared."""
+        traces = engine.explore(
+            minimal_two.workflow,
+            minimal_two.registry,
+            minimal_two.requests,
+            max_transitions=200,
+            selector=support.always_deny_selector,
+        )
+        uses = collections.Counter(id(t) for trace in traces for t in trace.steps)
+        # Forge a recorded rule midway and a final instance state moved back
+        # to Waiting, each on a transition several traces share.
+        middle, last = traces[1].steps[2], traces[1].steps[-1]
+        assert uses[id(middle)] > 1 and uses[id(last)] > 1
+        address, instance = next(last.target.instances())
+        waiting = dataclasses.replace(instance, state=InstanceState.WAITING)
+        regressed = Configuration(
+            actors=tuple((a, waiting if a == address else s) for a, s in last.target.actors),
+            undelivered=last.target.undelivered,
+        )
+        forged_steps = {
+            id(middle): dataclasses.replace(middle, rule=RuleId.R8_WS_INVOKE),
+            id(last): dataclasses.replace(last, target=regressed),
+        }
+        forged = [
+            Trace(trace.initial, tuple(forged_steps.get(id(t), t) for t in trace.steps))
+            for trace in traces
+        ]
+        # Unshare the first step of every other trace, so that a shared
+        # transition can also follow an unshared one.
+        forged = [
+            Trace(trace.initial, (dataclasses.replace(trace.steps[0]),) + trace.steps[1:])
+            if index % 2
+            else trace
+            for index, trace in enumerate(forged)
+        ]
+        path = tmp_path / "forged.jsonl"
+        formats.write_traces(forged, path)
+        unshared = formats.read_traces(path)
+        assert len({id(t) for trace in unshared for t in trace.steps}) == sum(map(len, unshared))
+
+        verdict = check_pyramid(forged)
+        assert verdict.violations == check_pyramid(unshared).violations
+        holders = {
+            index
+            for index, trace in enumerate(traces)
+            if any(t is middle or t is last for t in trace.steps)
+        }
+        assert {v.trace_index for v in verdict.behavior.violations} == holders
+        assert {v.trace_index for v in verdict.system.violations} == holders
+        # Relabelling the creation of c2 hides it; c1 regresses at the end.
+        assert properties(verdict.system) == {
+            P_UNIQUE_CREATION,
+            P_STATE_MONOTONICITY,
+            P_WAITING_PROGRESS,
+        }
+        assert properties(verdict.service) == {P_DENIAL_ORACLE}

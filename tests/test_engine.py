@@ -424,3 +424,54 @@ class TestExplore:
                 max_transitions=100,
                 max_traces=5,
             )
+
+
+EXPLORED_FIXTURES = {
+    "minimal-1req": "minimal_one",
+    "minimal-2req": "minimal_two",
+    "pair-1req": "pair_one",
+    "pair-2req-denied": "pair_two_denied",
+}
+
+
+class TestExploreGraph:
+    """explore builds the configuration graph once and enumerates its paths;
+    a plain search that steps every path is the reference."""
+
+    @pytest.mark.parametrize("key", sorted(EXPLORED_FIXTURES))
+    def test_matches_naive_search(self, key, explored_corpora, request):
+        fixture_set = request.getfixturevalue(EXPLORED_FIXTURES[key])
+        naive = support.naive_explore(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests
+        )
+        explored = explored_corpora.sets[key]
+        assert [t.labels() for t in explored] == [t.labels() for t in naive]
+        assert [t.final for t in explored] == [t.final for t in naive]
+
+    @pytest.mark.parametrize("key", sorted(EXPLORED_FIXTURES))
+    def test_steps_each_distinct_edge_once(self, key, monkeypatch, request):
+        fixture_set = request.getfixturevalue(EXPLORED_FIXTURES[key])
+        calls = 0
+        original = engine.step
+
+        def counting_step(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "step", counting_step)
+        traces = explore(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests, max_transitions=200
+        )
+        edges = {(t.source, t.message) for trace in traces for t in trace.steps}
+        assert calls == len(edges)
+
+    def test_bounds_raise_where_the_naive_search_says(self, pair_two_denied):
+        args = (pair_two_denied.workflow, pair_two_denied.registry, pair_two_denied.requests)
+        naive = support.naive_explore(*args)
+        count, longest = len(naive), max(len(trace) for trace in naive)
+        assert len(explore(*args, max_transitions=longest, max_traces=count)) == count
+        with pytest.raises(StateSpaceLimitError, match=f"more than {count - 1} maximal traces"):
+            explore(*args, max_transitions=longest, max_traces=count - 1)
+        with pytest.raises(StateSpaceLimitError, match=f"exceeded {longest - 1} transitions"):
+            explore(*args, max_transitions=longest - 1, max_traces=count)

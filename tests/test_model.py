@@ -224,6 +224,8 @@ class TestAddresses:
         assert address_aa_name(activity_address("c1", "A:B")) == "A:B"
         assert address_client_id(client_address("c1")) == "c1"
         assert address_aa_name(instance_address("c1")) is None
+        for prefix in ("ca", "wsoi", "aa", "ws"):
+            assert address_client_id(prefix) is None
 
 
 def sample_message(kind: MessageKind) -> Message:
