@@ -69,6 +69,11 @@ def _load_inputs(args):
     workflow = formats.load_workflow(args.workflow)
     registry = load_registry(args.registry)
     requests = formats.load_requests(args.requests)
+    for aa_name, ontology in workflow.activities:
+        if not registry.query(ontology):
+            raise RegistryError(
+                f"{args.registry}: no candidate for ontology {ontology!r} of activity {aa_name!r}"
+            )
     return workflow, registry, requests
 
 

@@ -24,7 +24,6 @@ separate implementation from the selector the engine uses.
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -159,12 +158,6 @@ def _steps(trace: Trace):
         yield index, t, t.source, t.target, t.emitted
 
 
-# The per-transition results of check_behavior, shared by every trace one
-# check_pyramid call checks.  Explored trace sets share Transition objects,
-# and each is checked once; the memo lives for that one call.
-_behavior_memo: ContextVar[dict | None] = ContextVar("_behavior_memo", default=None)
-
-
 def _introduced_notes(source, target, new_messages, resolvable: set[str]) -> list[tuple[str, str]]:
     """(property, witness) for the snapshots and messages a configuration
     introduces and for its pool's addresses.  Moves resolvable from the
@@ -232,8 +225,8 @@ def _replay_notes(transition: Transition) -> list[tuple[str, str]]:
     return notes
 
 
-def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
-    """Check one trace against the transition rules by replaying every step.
+def check_behavior(traces: Sequence[Trace]) -> Verdict:
+    """Check a trace set against the transition rules by replaying every step.
 
     Each snapshot and message is checked where it first appears; every
     pending message's addresses must resolve in every configuration.  The
@@ -241,41 +234,41 @@ def check_behavior(trace: Trace, trace_index: int = 0) -> Verdict:
     grant or deny at this layer); everything downstream of the decision must
     be reproducible mechanically.
 
-    What a transition yields depends on the transition alone, so under
-    check_pyramid a transition that several traces share is checked once and
-    its violations are stamped at each (trace, index) where it occurs.  The
-    one piece of running state is the set of resolvable addresses, which is
-    a function of the configuration's actors: resolvable_addresses gives
-    disjoint sets for distinct actor addresses, so removing a replaced
-    actor's addresses and adding its successor's leaves exactly the union
-    over the target's actors.  After a transition checked earlier the set is
-    not kept up to date, and the next transition checked afresh rebuilds it
-    from its source's actors.
+    What a transition yields depends on the transition alone, so a
+    transition that several traces share is checked once and its violations
+    are stamped at each (trace, index) where it occurs.  The one piece of
+    running state is the set of resolvable addresses, which is a function of
+    the configuration's actors: resolvable_addresses gives disjoint sets for
+    distinct actor addresses, so removing a replaced actor's addresses and
+    adding its successor's leaves exactly the union over the target's
+    actors.  After a transition checked earlier the set is not kept up to
+    date, and the next transition checked afresh rebuilds it from its
+    source's actors.
     """
-    memo = _behavior_memo.get()
-    if memo is None:
-        memo = {}
     violations: list[Violation] = []
-    resolvable: set[str] | None = None  # None: rebuild from the next source's actors
-    for index, introducer, source, target, new_messages in _steps(trace):
-        # Entries hold their introducer, so no id is reused while a memo lives.
-        entry = memo.get(id(introducer))
-        if entry is not None and entry[0] is introducer:
-            resolvable = None
-        else:
-            if resolvable is None:
-                resolvable = {
-                    resolved
-                    for address, snapshot in source.actors
-                    for resolved in resolvable_addresses(address, snapshot)
-                }
-            notes = _introduced_notes(source, target, new_messages, resolvable)
-            if index is not None:
-                notes.extend(_replay_notes(introducer))
-            entry = memo[id(introducer)] = (introducer, notes)
-        violations.extend(
-            Violation(property_id, trace_index, index, witness) for property_id, witness in entry[1]
-        )
+    memo: dict = {}
+    for trace_index, trace in enumerate(traces):
+        resolvable: set[str] | None = None  # None: rebuild from the next source's actors
+        for index, introducer, source, target, new_messages in _steps(trace):
+            # Entries hold their introducer, so no id is reused while the memo lives.
+            entry = memo.get(id(introducer))
+            if entry is not None and entry[0] is introducer:
+                resolvable = None
+            else:
+                if resolvable is None:
+                    resolvable = {
+                        resolved
+                        for address, snapshot in source.actors
+                        for resolved in resolvable_addresses(address, snapshot)
+                    }
+                notes = _introduced_notes(source, target, new_messages, resolvable)
+                if index is not None:
+                    notes.extend(_replay_notes(introducer))
+                entry = memo[id(introducer)] = (introducer, notes)
+            violations.extend(
+                Violation(property_id, trace_index, index, witness)
+                for property_id, witness in entry[1]
+            )
     return Verdict.from_violations(violations)
 
 
@@ -497,20 +490,26 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
     (granted and later completed, with every final bound service a candidate
     the registry offers for its activity at the bound QoS, aggregating within
     the requested budget) or rejected exactly once (with the rejection
-    re-verified against the brute-force selection oracle).
+    re-verified against the brute-force selection oracle).  The traces share
+    one initial configuration, so the oracle runs at most once per seeded
+    request.
     """
     _require_shared_initial(traces)
+    if not traces:
+        return Verdict.from_violations(())
+    initial = traces[0].initial
+    manager = initial.actor(WSOIM_ADDRESS)
+    selector_state = initial.actor(SS_ADDRESS)
+    workflow = manager.workflow if isinstance(manager, ManagerState) else None
+    registry = selector_state.registry if isinstance(selector_state, SelectorState) else None
+    seeded = _seeded_requests(initial)
+    feasible: dict[int, bool] = {}  # seeded position -> oracle verdict
     violations: list[Violation] = []
     for trace_index, trace in enumerate(traces):
         def note(property_id: str, transition_index: int | None, witness: str) -> None:
             violations.append(Violation(property_id, trace_index, transition_index, witness))
 
-        manager = trace.initial.actor(WSOIM_ADDRESS)
-        selector_state = trace.initial.actor(SS_ADDRESS)
-        workflow = manager.workflow if isinstance(manager, ManagerState) else None
-        registry = selector_state.registry if isinstance(selector_state, SelectorState) else None
-
-        for request_msg in _seeded_requests(trace.initial):
+        for position, request_msg in enumerate(seeded):
             cid = request_msg.client_id
             replies = _client_replies(trace, cid)
             granted = len(replies[MessageKind.GRANTED_REPLY])
@@ -583,8 +582,10 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
                         f"request of client {cid!r} carries no QoS budget",
                     )
                     continue
-                ontologies = [ontology for _, ontology in workflow.activities]
-                if _oracle_feasible(request_msg.qos, ontologies, registry):
+                if position not in feasible:
+                    ontologies = [ontology for _, ontology in workflow.activities]
+                    feasible[position] = _oracle_feasible(request_msg.qos, ontologies, registry)
+                if feasible[position]:
                     note(
                         P_DENIAL_ORACLE,
                         rejection_index,
@@ -603,14 +604,7 @@ def check_pyramid(traces: Sequence[Trace]) -> PyramidVerdict:
     A lower layer passing while a higher one fails is itself reported: it
     witnesses that the trace set breaks one of the refinement implications.
     """
-    behavior_violations: list[Violation] = []
-    token = _behavior_memo.set({})
-    try:
-        for trace_index, trace in enumerate(traces):
-            behavior_violations.extend(check_behavior(trace, trace_index).violations)
-    finally:
-        _behavior_memo.reset(token)
-    behavior = Verdict.from_violations(behavior_violations)
+    behavior = check_behavior(traces)
     system = check_system(traces)
     service = check_service(traces)
 

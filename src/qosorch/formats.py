@@ -402,10 +402,9 @@ def _apply_transition_record(config: Configuration, record: dict) -> Transition:
     for change in record["changed"]:
         address = _text(change, "address")
         prior = config.actor(address)
-        before = (address, None) if change["before"] is None else actor_from_record(change["before"])
-        if before[0] != address or type(before[1]) is not type(prior):
+        if change["before"] != (None if prior is None else actor_to_record(address, prior)):
             raise FormatError(
-                f"changed actor {address!r}: 'before' is not a snapshot of the source's actor"
+                f"changed actor {address!r}: 'before' differs from the source's snapshot"
             )
         if change["after"] is None:
             changed[address] = None
@@ -505,11 +504,6 @@ def violation_to_record(violation: Violation) -> dict:
         "transition": violation.transition_index,
         "witness": violation.witness,
     }
-
-
-def write_violations(violations: Sequence[Violation], path: str | Path) -> None:
-    lines = [_dump_line(violation_to_record(v)) for v in violations]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def append_violations(violations: Sequence[Violation], path: str | Path) -> None:

@@ -242,34 +242,6 @@ class WsoInstance:
         return replace(self, activities=activities)
 
 
-def instance_errors(instance: WsoInstance) -> list[str]:
-    """Structural constraint violations of one instance snapshot.
-
-    These are checked (not enforced at construction) so that conformance
-    checkers can examine corrupted traces that contain violating snapshots.
-    """
-    errors: list[str] = []
-    cid = instance.request.client_id
-    for aa in instance.activities:
-        if aa.wsoi_id != cid:
-            errors.append(f"activity {aa.aa_name!r} carries owner {aa.wsoi_id!r}, expected {cid!r}")
-        if aa.ws.wsoi_id != cid or aa.ws.aa_name != aa.aa_name:
-            errors.append(f"binding of activity {aa.aa_name!r} is mislabelled")
-        if instance.state is InstanceState.DENIED and aa.ws.bound:
-            errors.append(f"denied instance {cid!r} holds a binding for {aa.aa_name!r}")
-        if aa.ws.bound and instance.state not in (
-            InstanceState.GRANTED,
-            InstanceState.SERVICING,
-            InstanceState.COMPLETED,
-        ):
-            errors.append(
-                f"activity {aa.aa_name!r} is bound while instance {cid!r} is {instance.state.value}"
-            )
-    if instance.output_parameters is not None and instance.state is not InstanceState.COMPLETED:
-        errors.append(f"instance {cid!r} has outputs while {instance.state.value}")
-    return errors
-
-
 # ---------------------------------------------------------------------------
 # Workflow definitions
 
@@ -624,17 +596,6 @@ def get_aa(instance: WsoInstance, aa_name: str) -> ActivityActor:
     raise UnknownActivityError(
         f"instance {instance.client_id!r} has no activity named {aa_name!r}"
     )
-
-
-def get_wses(instance: WsoInstance) -> list[WsBinding]:
-    """All activity bindings of an instance, sorted by activity name."""
-    return [aa.ws for aa in sorted(instance.activities, key=lambda aa: aa.aa_name)]
-
-
-def undelivered_requests(config: Configuration) -> list[Message]:
-    """All undelivered client requests, ordered by client id."""
-    pending = [m for m in config.undelivered if m.kind is MessageKind.WSO_REQUEST]
-    return sorted(pending, key=lambda m: m.client_id)
 
 
 def snapshot_error(address: str, snapshot: ActorSnapshot) -> str | None:

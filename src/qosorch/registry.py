@@ -50,20 +50,12 @@ class Registry:
     def candidates(self) -> tuple[CandidateService, ...]:
         return tuple(c for _, group in self.entries for c in group)
 
-    def query(self, ontology: str, max_qos: QoSSpec | None = None) -> list[CandidateService]:
+    def query(self, ontology: str) -> list[CandidateService]:
+        """All candidates of an ontology, ordered by id; [] if it is unknown."""
         for candidate_ontology, group in self.entries:
             if candidate_ontology == ontology:
-                if max_qos is None:
-                    return list(group)
-                return [c for c in group if c.qos.fits_within(max_qos)]
+                return list(group)
         return []
-
-
-def query(registry: Registry, ontology: str, max_qos: QoSSpec | None = None) -> list[CandidateService]:
-    """All candidates of an ontology whose advertised QoS fits max_qos
-    componentwise (all of them when max_qos is absent), ordered by id.
-    Unknown ontologies yield an empty list."""
-    return registry.query(ontology, max_qos)
 
 
 def candidate_to_record(candidate: CandidateService) -> dict:

@@ -257,3 +257,22 @@ def denied_then_granted_trace(workflow, registry, requests) -> Trace:
         steps.append(transition)
         config = transition.target
     return Trace(initial=base.initial, steps=tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# Hand edits of trace records.
+
+def restate_befores(records: list[dict]) -> None:
+    """Set every `before` in the transition records to the snapshot the
+    records last gave its address, so that an edited `after` carries into
+    the next change of that actor as the reader requires."""
+    latest: dict[tuple[int, str], dict] = {}
+    for record in records:
+        if record["record"] == "trace":
+            for actor in record["initial"]["actors"]:
+                latest[record["trace"], actor["address"]] = actor
+        elif record["record"] == "transition":
+            for change in record["changed"]:
+                key = record["trace"], change["address"]
+                change["before"] = latest.get(key)
+                latest[key] = change["after"]

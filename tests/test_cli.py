@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import support
 from qosorch import cli
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "bookstore_seed0.jsonl"
@@ -67,11 +68,12 @@ MALFORMED = {
         ((3, ("changed", 0, "after", "address")), "replace", "x"),
         "trace 0, transition 2: ",
     ),
+    # Well-formed, but the instance is Waiting in the running configuration.
+    "changed-before-content-differs": (
+        ((3, ("changed", 1, "before", "state")), "replace", "Completed"),
+        "trace 0, transition 2: ",
+    ),
 }
-
-# A `before` snapshot whose content disagrees with the running configuration
-# (the instance is Waiting there): well-formed, so the reader accepts it.
-BEFORE_STATE_DISAGREES = ((3, ("changed", 1, "before", "state")), "replace", "Completed")
 
 
 # Well-formed records whose content once crashed `check`, each with the
@@ -185,6 +187,27 @@ class TestExplore:
         assert "state-space limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_registry_without_a_workflow_ontology_is_an_input_error(
+    command, fixtures_dir, tmp_path, capsys
+):
+    registry = tmp_path / "registry.jsonl"
+    lines = (fixtures_dir / "bookstore_registry.jsonl").read_text().splitlines()
+    registry.write_text(
+        "".join(line + "\n" for line in lines if '"Payment"' not in line), encoding="utf-8"
+    )
+    code = invoke([
+        command,
+        "--workflow", str(fixtures_dir / "bookstore_workflow.jsonl"),
+        "--registry", str(registry),
+        "--requests", str(fixtures_dir / "bookstore_requests_feasible.jsonl"),
+    ])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert err.startswith(f"error: {registry}: ")
+    assert "'Payment'" in err and "'Get Pays'" in err
+
+
 class TestCheck:
     def write_run_trace(self, bookstore_args, tmp_path, requests_file):
         out = tmp_path / "trace.jsonl"
@@ -202,16 +225,15 @@ class TestCheck:
 
     def test_edited_state_field_is_a_violation(self, bookstore_args, tmp_path, capsys):
         out = self.write_run_trace(bookstore_args, tmp_path, "bookstore_requests_feasible.jsonl")
-        lines = out.read_text().splitlines()
-        edited = []
-        for line in lines:
-            record = json.loads(line)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        for record in records:
             if record["record"] == "transition" and record["rule"] == "R2b_SelectGranted":
                 for change in record["changed"]:
                     after = change["after"]
                     if after and after.get("type") == "instance":
                         after["state"] = "Servicing"
-            edited.append(json.dumps(record, sort_keys=True))
+        support.restate_befores(records)
+        edited = [json.dumps(record, sort_keys=True) for record in records]
         out.write_text("".join(line + "\n" for line in edited), encoding="utf-8")
 
         code = invoke(["check", str(out)])
@@ -263,7 +285,7 @@ class TestCheck:
     @example(mutation=MALFORMED["changed-before-null-for-a-present-actor"][0])
     @example(mutation=MALFORMED["changed-before-at-another-address"][0])
     @example(mutation=MALFORMED["changed-after-at-another-address"][0])
-    @example(mutation=BEFORE_STATE_DISAGREES)
+    @example(mutation=MALFORMED["changed-before-content-differs"][0])
     @example(mutation=BAD_CONTENT["seeded-request-without-qos"][0])
     @example(mutation=BAD_CONTENT["invoke-to-a-bare-role-prefix"][0])
     def test_mutated_golden_trace_never_crashes(self, mutation, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from qosorch import engine, formats
+from qosorch import conformance, engine, formats
 from qosorch.conformance import (
     P_DENIAL_ORACLE,
     P_DENIED_UNBOUND,
@@ -35,9 +35,11 @@ def properties(verdict):
 
 
 def reload_with_edit(trace, edit):
-    """Serialize a trace, let `edit` rewrite the records, and reassemble."""
+    """Serialize a trace, let `edit` rewrite the records, restate each
+    `before` from the edited records, and reassemble."""
     records = [copy.deepcopy(r) for r in formats.trace_to_records(trace)]
     edit(records)
+    support.restate_befores(records)
     return formats.traces_from_records(records)[0]
 
 
@@ -58,9 +60,8 @@ def infeasible_run(bookstore_infeasible):
 
 class TestBehavior:
     def test_engine_output_conforms(self, minimal_run, explored_corpora):
-        assert check_behavior(minimal_run).passed
-        for trace in explored_corpora.sets["pair-2req-denied"]:
-            assert check_behavior(trace).passed
+        assert check_behavior([minimal_run]).passed
+        assert check_behavior(explored_corpora.sets["pair-2req-denied"]).passed
 
     def test_inverted_notify_direction_is_flagged(self, minimal_run):
         def invert_notify(records):
@@ -75,7 +76,7 @@ class TestBehavior:
             raise AssertionError("no returning transition found")
 
         corrupted = reload_with_edit(minimal_run, invert_notify)
-        verdict = check_behavior(corrupted)
+        verdict = check_behavior([corrupted])
         assert not verdict.passed
         assert P_MESSAGE_VOCABULARY in properties(verdict)
         assert any("sent by" in v.witness for v in verdict.violations)
@@ -92,7 +93,7 @@ class TestBehavior:
             raise AssertionError("no grant transition found")
 
         corrupted = reload_with_edit(minimal_run, jump_state)
-        verdict = check_behavior(corrupted)
+        verdict = check_behavior([corrupted])
         assert not verdict.passed
         assert P_RULE_REPLAY in properties(verdict)
         # The illegal Waiting -> Servicing move is a system-layer violation.
@@ -122,7 +123,7 @@ class TestBehavior:
                 if change["address"] == address:
                     change["after"]["request"]["client_id"] = "c9"
 
-        verdict = check_behavior(reload_with_edit(trace, mislabel))
+        verdict = check_behavior([reload_with_edit(trace, mislabel)])
         mislabelled = [v for v in verdict.violations if "labelled 'c9'" in v.witness]
         assert [v.transition_index for v in mislabelled] == [last]
         assert mislabelled[0].property_id == P_MESSAGE_VOCABULARY
@@ -145,7 +146,7 @@ class TestBehavior:
             )
             del records[removal + 2:]
 
-        verdict = check_behavior(reload_with_edit(trace, remove_instance))
+        verdict = check_behavior([reload_with_edit(trace, remove_instance)])
         unresolvable = [v for v in verdict.violations if "unresolvable address" in v.witness]
         assert {v.transition_index for v in unresolvable} == {removal}
         assert {v.property_id for v in unresolvable} == {P_MESSAGE_VOCABULARY}
@@ -217,6 +218,20 @@ class TestService:
         verdict = check_service([trace])
         assert not verdict.passed
         assert P_DENIAL_ORACLE in properties(verdict)
+
+    def test_oracle_runs_once_per_seeded_request(self, explored_corpora, monkeypatch):
+        traces = explored_corpora.sets["pair-2req-denied"]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _oracle_feasible(*args)
+
+        monkeypatch.setattr(conformance, "_oracle_feasible", counting)
+        verdict = check_service(traces)
+        assert len(traces) == 20
+        assert len(calls) == 2
+        assert verdict.passed and verdict.violations == ()
 
 
 class TestDenialOracle:

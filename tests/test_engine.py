@@ -27,10 +27,8 @@ from qosorch.model import (
     WsoRequest,
     client_address,
     get_aa,
-    get_wses,
     get_wsoi,
     instance_address,
-    undelivered_requests,
 )
 
 # Restated here, independently of the engine's table: the rules each message
@@ -80,7 +78,7 @@ class TestStepRules:
         assert transition.emitted[0].receiver == SS_ADDRESS
         assert transition.emitted[0].sender == instance_address("c1")
         # The consumed request no longer counts as undelivered.
-        assert undelivered_requests(transition.target) == []
+        assert not any(m.kind is MessageKind.WSO_REQUEST for m in transition.target.undelivered)
 
     def test_denial_rule_moves_to_denied_and_replies(self, bookstore_infeasible):
         config = initial_configuration(
@@ -129,7 +127,7 @@ class TestStepRules:
         assert kinds[0] is MessageKind.GRANTED_REPLY
         assert kinds.count(MessageKind.INVOKE) == 6
         instance = get_wsoi(config, "c1")
-        bindings = get_wses(instance)
+        bindings = [aa.ws for aa in instance.activities]
         assert len(bindings) == 6 and all(b.bound for b in bindings)
         pays = get_aa(instance, "Get Pays")
         assert dict(pays.input_parameters) == {
@@ -331,8 +329,8 @@ class TestRun:
             if m.kind is MessageKind.COMPLETED_REPLY
         ]
         assert len(completed) == 1
-        assert len(get_wses(instance)) == 6
-        assert all(b.bound for b in get_wses(instance))
+        assert len(instance.activities) == 6
+        assert all(aa.ws.bound for aa in instance.activities)
         # Six returned activities contribute one output each.
         assert len(instance.output_parameters) == 6
 
@@ -345,7 +343,7 @@ class TestRun:
         )
         instance = get_wsoi(trace.final, "c1")
         assert instance.state is InstanceState.DENIED
-        assert all(not b.bound for b in get_wses(instance))
+        assert all(not aa.ws.bound for aa in instance.activities)
         denied = [
             m for t in trace.steps for m in t.emitted if m.kind is MessageKind.DENIED_REPLY
         ]

@@ -59,7 +59,7 @@ class TestTraceFiles:
         loaded = formats.read_traces(path)
         assert len(loaded) == 1
         assert loaded[0] == trace
-        assert check_behavior(loaded[0]).passed
+        assert check_behavior(loaded).passed
 
     def test_multi_trace_files(self, tmp_path, minimal_one):
         traces = engine.explore(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qosorch.model import (
     ACTIVITY_SUCCESSORS,
-    ActivityActor,
     ActivityState,
     ClientRecord,
     Configuration,
@@ -31,17 +30,14 @@ from qosorch.model import (
     client_address,
     freeze_params,
     get_aa,
-    get_wses,
     get_wsoi,
     instance_address,
-    instance_errors,
     instance_state_can_follow,
     message_schema_error,
     params_dict,
     Role,
     service_address,
     SS_ADDRESS,
-    undelivered_requests,
     WSOIM_ADDRESS,
 )
 
@@ -168,30 +164,6 @@ class TestInstance:
         assert get_aa(bumped, "B").state is ActivityState.INVOKING
         assert get_aa(bumped, "A").state is ActivityState.PREPARING
         assert bumped.activity_names() == ("A", "B")
-
-    def test_instance_errors_flag_denied_with_binding(self):
-        request = make_request()
-        bound = ActivityActor(
-            aa_name="A",
-            wsoi_id="c1",
-            qos=None,
-            input_parameters=None,
-            output_parameters=None,
-            state=ActivityState.PREPARING,
-            ws=WsBinding("c1", "A", "svc-1", QoSSpec(5, 5)),
-        )
-        denied = WsoInstance(request=request, state=InstanceState.DENIED, activities=(bound,))
-        messages = instance_errors(denied)
-        assert any("denied" in m for m in messages)
-
-    def test_instance_errors_flag_early_outputs(self):
-        instance = WsoInstance(
-            request=make_request(),
-            state=InstanceState.WAITING,
-            activities=(ActivityActor.initial("A", "c1"),),
-            output_parameters=(("x", "1"),),
-        )
-        assert any("outputs" in m for m in instance_errors(instance))
 
 
 class TestWorkflowDef:
@@ -338,22 +310,6 @@ class TestConfigurationAccessors:
         assert get_aa(instance, "Get Pays").aa_name == "Get Pays"
         with pytest.raises(UnknownActivityError):
             get_aa(instance, "missing")
-
-    def test_get_wses_sorted_and_nil_when_fresh(self):
-        instance = WsoInstance.create(make_request(), ["B", "A", "C"])
-        bindings = get_wses(instance)
-        assert [b.aa_name for b in bindings] == ["A", "B", "C"]
-        assert all(not b.bound for b in bindings)
-
-    def test_undelivered_requests_ordering(self):
-        m1 = sample_message(MessageKind.WSO_REQUEST)
-        m2 = dataclasses.replace(
-            m1, client_id="c0", sender=client_address("c0")
-        )
-        notify = sample_message(MessageKind.NOTIFY)
-        config = Configuration(actors=(), undelivered=(m1, notify, m2))
-        assert [m.client_id for m in undelivered_requests(config)] == ["c0", "c1"]
-        assert undelivered_requests(Configuration(actors=())) == []
 
     def test_changes_are_added_removed_and_replaced_actors_by_address(self):
         kept = WsoInstance.create(make_request("c1"), ["A"])

