@@ -470,16 +470,20 @@ def _oracle_feasible(
     return False
 
 
-def _client_replies(trace: Trace, client_id: str) -> dict[MessageKind, list[int]]:
-    replies: dict[MessageKind, list[int]] = {
-        MessageKind.GRANTED_REPLY: [],
-        MessageKind.COMPLETED_REPLY: [],
-        MessageKind.DENIED_REPLY: [],
-    }
+_CLIENT_REPLIES = (MessageKind.GRANTED_REPLY, MessageKind.COMPLETED_REPLY, MessageKind.DENIED_REPLY)
+
+
+def _client_replies(trace: Trace) -> dict[str, dict[MessageKind, list[int]]]:
+    """Per client id, the indexes of the transitions that emit each kind of
+    terminal reply to it, in one pass over the trace."""
+    replies: dict[str, dict[MessageKind, list[int]]] = {}
     for index, transition in enumerate(trace.steps):
         for message in transition.emitted:
-            if message.kind in replies and message.client_id == client_id:
-                replies[message.kind].append(index)
+            if message.kind in _CLIENT_REPLIES:
+                by_kind = replies.get(message.client_id)
+                if by_kind is None:
+                    by_kind = replies[message.client_id] = {kind: [] for kind in _CLIENT_REPLIES}
+                by_kind[message.kind].append(index)
     return replies
 
 
@@ -509,9 +513,11 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
         def note(property_id: str, transition_index: int | None, witness: str) -> None:
             violations.append(Violation(property_id, trace_index, transition_index, witness))
 
+        trace_replies = _client_replies(trace)
+        no_replies = {kind: [] for kind in _CLIENT_REPLIES}
         for position, request_msg in enumerate(seeded):
             cid = request_msg.client_id
-            replies = _client_replies(trace, cid)
+            replies = trace_replies.get(cid, no_replies)
             granted = len(replies[MessageKind.GRANTED_REPLY])
             completed = len(replies[MessageKind.COMPLETED_REPLY])
             denied = len(replies[MessageKind.DENIED_REPLY])

@@ -143,13 +143,10 @@ def _completion_ready(config: Configuration, message: Message) -> bool:
         return False
     if any(aa.state is not ActivityState.RETURNED for aa in instance.activities):
         return False
-    receiver = instance_address(message.client_id)
-    others = [
-        m
-        for m in config.undelivered
-        if m.kind is MessageKind.NOTIFY and m.receiver == receiver and m != message
-    ]
-    return not others
+    return not any(
+        m.kind is MessageKind.NOTIFY and m != message
+        for m in config.pending_to(instance_address(message.client_id))
+    )
 
 
 def rule_for(config: Configuration, message: Message) -> RuleId:
@@ -171,27 +168,17 @@ def rule_for(config: Configuration, message: Message) -> RuleId:
 
 
 def deliverable(config: Configuration) -> list[Message]:
-    """Pool messages whose (sender, receiver) channel has nothing older pending."""
-    seen: set[tuple[str, str]] = set()
-    ready: list[Message] = []
-    for message in config.undelivered:
-        channel = (message.sender, message.receiver)
-        if channel not in seen:
-            ready.append(message)
-            seen.add(channel)
-    return ready
-
-
-def _schedulable(config: Configuration) -> list[Message]:
-    """Deliverable messages in deterministic order.  Schedulers pick from
-    these without computing rules; :func:`step` computes the one it fires."""
-    return sorted(deliverable(config), key=Message.sort_key)
+    """Pool messages whose (sender, receiver) channel has nothing older
+    pending, in deterministic order (:meth:`Message.sort_key`).  Schedulers
+    pick from these without computing rules; :func:`step` computes the one
+    it fires."""
+    return list(config.heads)
 
 
 def enabled(config: Configuration) -> list[tuple[Message, RuleId]]:
     """Every deliverable message paired with the unique rule it would fire,
     in deterministic order."""
-    return [(message, rule_for(config, message)) for message in _schedulable(config)]
+    return [(message, rule_for(config, message)) for message in config.heads]
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +423,15 @@ _RULE_APPLIERS = {
 
 
 def _check_deliverable(config: Configuration, message: Message) -> None:
-    """One pass over the message's channel: it must be pending and the oldest
-    message on its (sender, receiver) channel."""
-    oldest = True
-    for pending in config.undelivered:
-        if pending.sender == message.sender and pending.receiver == message.receiver:
-            if pending == message:
-                if oldest:
-                    return
-                raise NotDeliverableError(
-                    f"an older message on channel {message.sender!r}->{message.receiver!r} "
-                    "is pending"
-                )
-            oldest = False
+    """The message must be pending and the oldest on its (sender, receiver)
+    channel."""
+    pending = config.channel(message.sender, message.receiver)
+    if pending and (pending[0] is message or pending[0] == message):
+        return
+    if message in pending:
+        raise NotDeliverableError(
+            f"an older message on channel {message.sender!r}->{message.receiver!r} is pending"
+        )
     raise MessageNotPendingError(f"{message.kind.value} is not in the undelivered pool")
 
 
@@ -457,7 +440,7 @@ def step(config: Configuration, message: Message, *, selector: Selector | None =
 
     Returns the transition to the new configuration.  Client-bound replies in
     the rule's emissions are delivered synchronously into the client record;
-    everything else joins the pool in emission order.
+    everything else joins its channel in emission order.
     """
     if selector is None:
         selector = default_selector
@@ -543,7 +526,7 @@ def run(
     config = initial
     steps: list[Transition] = []
     while True:
-        options = _schedulable(config)
+        options = config.heads
         if not options:
             break
         transition = step(config, options[rng.randrange(len(options))], selector=selector)
@@ -562,7 +545,7 @@ class _Node:
 
     def __init__(self, config: Configuration) -> None:
         self.config = config
-        self.options = _schedulable(config)
+        self.options = config.heads
         self.edges: list[tuple[Transition, _Node] | None] = [None] * len(self.options)
 
 

@@ -12,8 +12,9 @@ frozen in docs/FORMATS.md.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .conformance import Violation
 from .model import (
@@ -50,21 +51,22 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _read_records(path: str | Path) -> list[tuple[int, dict]]:
-    """The records of a JSONL file, each with its line number."""
-    records = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "record" not in record:
-            raise FormatError(f"{path}:{line_no}: expected a record object")
-        records.append((line_no, record))
-    return records
+def _read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The records of a JSONL file, each with its line number, parsed one
+    line at a time."""
+    with Path(path).open(encoding="utf-8") as handle:
+        # str.splitlines numbers lines as a whole-file read would.
+        lines = (piece for line in handle for piece in line.splitlines())
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict) or "record" not in record:
+                raise FormatError(f"{path}:{line_no}: expected a record object")
+            yield line_no, record
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +362,9 @@ def config_from_record(record: dict) -> Configuration:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
 
-def transition_to_record(trace_index: int, index: int, transition: Transition) -> dict:
+def _transition_body(transition: Transition) -> dict:
+    """The fields of a transition record that depend on the transition alone."""
     return {
-        "record": "transition",
-        "trace": trace_index,
-        "index": index,
-        "rule": transition.rule.value,
         "consumed": message_to_record(transition.message),
         "emitted": [message_to_record(m) for m in transition.emitted],
         "changed": [
@@ -379,14 +378,29 @@ def transition_to_record(trace_index: int, index: int, transition: Transition) -
     }
 
 
+def _transition_place(trace_index: int, index: int, transition: Transition) -> dict:
+    """The fields of a transition record that place it in a trace file."""
+    return {
+        "record": "transition",
+        "trace": trace_index,
+        "index": index,
+        "rule": transition.rule.value,
+    }
+
+
+def transition_to_record(trace_index: int, index: int, transition: Transition) -> dict:
+    return {
+        **_transition_place(trace_index, index, transition),
+        **_transition_body(transition),
+    }
+
+
+def _trace_header(trace: Trace, trace_index: int) -> dict:
+    return {"record": "trace", "trace": trace_index, "initial": config_to_record(trace.initial)}
+
+
 def trace_to_records(trace: Trace, trace_index: int = 0) -> list[dict]:
-    records = [
-        {
-            "record": "trace",
-            "trace": trace_index,
-            "initial": config_to_record(trace.initial),
-        }
-    ]
+    records = [_trace_header(trace, trace_index)]
     records.extend(
         transition_to_record(trace_index, index, transition)
         for index, transition in enumerate(trace.steps)
@@ -416,16 +430,21 @@ def _apply_transition_record(config: Configuration, record: dict) -> Transition:
     return Transition(source=config, rule=rule, message=consumed, target=target, emitted=emitted)
 
 
-def traces_from_records(records: Sequence[dict]) -> list[Trace]:
-    """Reassemble the traces a list of trace and transition records holds."""
-    return _reassemble([(None, record) for record in records], None)
+def traces_from_records(records: Iterable[dict]) -> list[Trace]:
+    """Reassemble the traces a sequence of trace and transition records holds."""
+    return _reassemble(((None, record) for record in records), None)
 
 
-def _reassemble(
-    numbered: Sequence[tuple[int | None, dict]], path: str | Path | None
-) -> list[Trace]:
-    """Reassemble traces from (line, record) pairs; an error names the path
-    and the line of the record at fault, where known."""
+def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | None) -> list[Trace]:
+    """Reassemble traces from (line, record) pairs, applying each transition
+    record as it arrives; an error names the path and the line of the record
+    at fault, where known.
+
+    Only transition records that arrive before their predecessor are held
+    back, so a file in any order reads, at the memory cost of its disorder.
+    A file with one fault gets the error it would get if the records of each
+    trace were read in index order.
+    """
 
     def error(line: int | None, text: str) -> FormatError:
         return FormatError(text if path is None else f"{path}:{line}: {text}")
@@ -439,7 +458,8 @@ def _reassemble(
             raise error(line, f"{where}: trace index {index!r} is not an integer")
         return index
 
-    by_trace: dict[int, dict] = {}
+    # trace index -> (initial, steps so far, held records by transition index)
+    by_trace: dict[int, tuple[Configuration, list[Transition], dict[int, tuple]]] = {}
     for line, record in numbered:
         if record["record"] == "trace":
             index = trace_index(line, record)
@@ -447,46 +467,61 @@ def _reassemble(
                 raise error(line, f"duplicate trace record {index}")
             if "initial" not in record:
                 raise error(line, f"trace {index}: trace record without an initial configuration")
-            by_trace[index] = {"line": line, "initial": record["initial"], "transitions": []}
+            try:
+                by_trace[index] = (config_from_record(record["initial"]), [], {})
+            except FormatError as exc:
+                raise error(line, f"trace {index}: {exc}") from exc
         elif record["record"] == "transition":
             index = trace_index(line, record)
             if index not in by_trace:
                 raise error(line, f"transition for unknown trace {index}")
-            if not isinstance(record.get("index"), int):
+            position = record.get("index")
+            if not isinstance(position, int):
                 raise error(line, f"trace {index}: transition record without an integer index")
-            by_trace[index]["transitions"].append((line, record))
+            initial, steps, held = by_trace[index]
+            if position < len(steps) or position in held:
+                # In index order a repeated index follows its first copy.
+                expected = position + 1 if position >= 0 else 0
+                raise error(line, f"trace {index}: expected transition {expected}, got {position}")
+            held[position] = (line, record)
+            while len(steps) in held:
+                next_line, next_record = held.pop(len(steps))
+                config = steps[-1].target if steps else initial
+                try:
+                    steps.append(_apply_transition_record(config, next_record))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise error(next_line, f"trace {index}, transition {len(steps)}: {exc}") from exc
 
     traces = []
     for index in sorted(by_trace):
-        entry = by_trace[index]
-        try:
-            config = config_from_record(entry["initial"])
-        except FormatError as exc:
-            raise error(entry["line"], f"trace {index}: {exc}") from exc
-        initial = config
-        steps = []
-        expected = 0
-        for line, record in sorted(entry["transitions"], key=lambda pair: pair[1]["index"]):
-            if record["index"] != expected:
-                raise error(
-                    line, f"trace {index}: expected transition {expected}, got {record['index']}"
-                )
-            try:
-                transition = _apply_transition_record(config, record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise error(line, f"trace {index}, transition {expected}: {exc}") from exc
-            expected += 1
-            steps.append(transition)
-            config = transition.target
+        initial, steps, held = by_trace[index]
+        if held:
+            first = min(held)
+            raise error(
+                held[first][0], f"trace {index}: expected transition {len(steps)}, got {first}"
+            )
         traces.append(Trace(initial=initial, steps=tuple(steps)))
     return traces
 
 
 def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
-    lines = []
-    for trace_index, trace in enumerate(traces):
-        lines.extend(_dump_line(record) for record in trace_to_records(trace, trace_index))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """Write traces one record per line.  A transition that several traces
+    share is serialized once per call; only its placement differs."""
+    uses = Counter(id(transition) for trace in traces for transition in trace.steps)
+    bodies: dict[int, str] = {}  # id(shared transition) -> its body's JSON, without the "}"
+    with Path(path).open("w", encoding="utf-8") as out:
+        for trace_index, trace in enumerate(traces):
+            out.write(_dump_line(_trace_header(trace, trace_index)) + "\n")
+            for index, transition in enumerate(trace.steps):
+                body = bodies.get(id(transition))
+                if body is None:
+                    body = _dump_line(_transition_body(transition))[:-1]
+                    if uses[id(transition)] > 1:
+                        bodies[id(transition)] = body
+                # Every body key sorts before every place key, so the two
+                # sorted objects join into the line of the whole record.
+                place = _dump_line(_transition_place(trace_index, index, transition))
+                out.write(body + ", " + place[1:] + "\n")
 
 
 def read_traces(path: str | Path) -> list[Trace]:

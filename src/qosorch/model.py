@@ -12,8 +12,11 @@ the code that produced them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
     from .registry import Registry
@@ -403,7 +406,9 @@ class Message:
             object.__setattr__(self, "assignment", ordered)
 
     def sort_key(self) -> tuple[str, str, str, str]:
-        return (self.kind.value, self.sender, self.receiver, self.client_id)
+        """(kind, sender, receiver, client_id): the order deliverable
+        messages are listed in."""
+        return _SORT_KEY(self)
 
 
 # kind -> (sender role, receiver role, required payload fields)
@@ -513,30 +518,88 @@ _ROLE_SNAPSHOT_TYPES: dict[Role, type] = {
 }
 
 
-@dataclass(frozen=True)
+# Orders over messages, as C-level getters so that bisecting a message tuple
+# calls no Python code: a channel is (receiver, sender), and deliverable
+# messages list by Message.sort_key.
+_CHANNEL = attrgetter("receiver", "sender")
+_RECEIVER = attrgetter("receiver")
+_SORT_KEY = attrgetter("kind.value", "sender", "receiver", "client_id")
+_ADDRESS = itemgetter(0)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Configuration:
     """A snapshot of all actors plus the pool of undelivered messages.
 
-    The pool keeps emission order (oldest first); listings that need a sorted
-    view sort by (kind, sender, receiver, client_id).
+    The pool is a set of per-channel FIFO queues, so its one canonical form
+    groups messages by (receiver, sender) channel, channels in that order,
+    oldest first within a channel; the constructor accepts any order across
+    channels.  Equality and hash cover only that form.  ``heads`` holds the
+    oldest message of every channel, sorted by :meth:`Message.sort_key`.
+
+    :meth:`advance` builds a target from its source by visiting only the
+    consumed channel, the emitted channels and the replaced actors, besides
+    copying the actor and pool tuples: it shares the address index while the
+    address set is unchanged, derives the heads from the source's, and
+    records which addresses it replaced, which :meth:`changes` then visits.
     """
 
     actors: tuple[tuple[str, ActorSnapshot], ...]
     undelivered: tuple[Message, ...] = ()
+    # address -> position in actors, shared by every configuration with the
+    # same address set
+    _index: dict[str, int] = field(init=False, repr=False)
+    heads: tuple[Message, ...] = field(init=False, repr=False)
+    # (source actors, replaced addresses) for a target built by advance
+    _origin: tuple | None = field(init=False, repr=False)
+    _hash: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.actors, key=lambda pair: pair[0]))
-        object.__setattr__(self, "actors", ordered)
-        object.__setattr__(self, "undelivered", tuple(self.undelivered))
-        addresses = [address for address, _ in ordered]
-        if len(addresses) != len(set(addresses)):
+        actors = tuple(sorted(self.actors, key=_ADDRESS))
+        index = {address: position for position, (address, _) in enumerate(actors)}
+        if len(index) != len(actors):
             raise ValueError("actor addresses must be unique")
+        pool = tuple(sorted(self.undelivered, key=_CHANNEL))  # stable: FIFO within a channel
+        first = {_CHANNEL(m): m for m in reversed(pool)}  # each channel's oldest message
+        self._set(actors, index, pool, tuple(sorted(first.values(), key=_SORT_KEY)), None)
+
+    def _set(self, actors, index, pool, heads, origin) -> None:
+        for name, value in (
+            ("actors", actors),
+            ("_index", index),
+            ("undelivered", pool),
+            ("heads", heads),
+            ("_origin", origin),
+            ("_hash", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self.actors == other.actors and self.undelivered == other.undelivered
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.actors, self.undelivered)))
+        return self._hash
 
     def actor(self, address: str) -> ActorSnapshot | None:
-        for candidate, snapshot in self.actors:
-            if candidate == address:
-                return snapshot
-        return None
+        position = self._index.get(address)
+        return None if position is None else self.actors[position][1]
+
+    def channel(self, sender: str, receiver: str) -> tuple[Message, ...]:
+        """The messages pending from sender to receiver, oldest first."""
+        key = (receiver, sender)
+        lo = bisect_left(self.undelivered, key, key=_CHANNEL)
+        return self.undelivered[lo : bisect_right(self.undelivered, key, lo, key=_CHANNEL)]
+
+    def pending_to(self, receiver: str) -> tuple[Message, ...]:
+        """The messages pending to receiver, channel by channel."""
+        lo = bisect_left(self.undelivered, receiver, key=_RECEIVER)
+        return self.undelivered[lo : bisect_right(self.undelivered, receiver, lo, key=_RECEIVER)]
 
     def advance(
         self,
@@ -548,18 +611,45 @@ class Configuration:
 
         Changed actors replace their snapshots (``None`` removes one) and the
         rest are shared.  The first pending copy of the consumed message
-        leaves the pool; emitted messages join it in order, except replies to
-        clients, whose records the caller passes among the changed actors.
+        leaves its channel; emitted messages join the end of theirs in order,
+        except replies to clients, whose records the caller passes among the
+        changed actors.
         """
-        actors = [pair for pair in self.actors if pair[0] not in changed]
-        actors.extend(pair for pair in changed.items() if pair[1] is not None)
-        pool = list(self.undelivered)
-        try:
-            pool.remove(consumed)
-        except ValueError:
-            pass  # a recorded transition may claim a message that was not pending
-        pool.extend(m for m in emitted if address_role(m.receiver) is not Role.CLIENT)
-        return Configuration(actors=tuple(actors), undelivered=tuple(pool))
+        actors, index = self.actors, self._index
+        if changed:
+            if any(s is None for s in changed.values()) or not index.keys() >= changed.keys():
+                merged = dict(actors)
+                merged.update(changed)
+                actors = tuple(sorted((p for p in merged.items() if p[1] is not None), key=_ADDRESS))
+                index = {address: position for position, (address, _) in enumerate(actors)}
+            else:
+                listed = list(actors)
+                for address, snapshot in changed.items():
+                    listed[index[address]] = (address, snapshot)
+                actors = tuple(listed)
+        pool, heads = list(self.undelivered), list(self.heads)
+        key = _CHANNEL(consumed)
+        lo = bisect_left(pool, key, key=_CHANNEL)
+        for position in range(lo, bisect_right(pool, key, lo, key=_CHANNEL)):
+            if pool[position] is consumed or pool[position] == consumed:
+                del pool[position]
+                if position == lo:  # the channel's head: its successor, if any, takes over
+                    del heads[bisect_left(heads, _SORT_KEY(consumed), key=_SORT_KEY)]
+                    if lo < len(pool) and _CHANNEL(pool[lo]) == key:
+                        insort(heads, pool[lo], key=_SORT_KEY)
+                break
+        for message in emitted:
+            if address_role(message.receiver) is Role.CLIENT:
+                continue
+            key = _CHANNEL(message)
+            position = bisect_right(pool, key, key=_CHANNEL)
+            if position == 0 or _CHANNEL(pool[position - 1]) != key:
+                insort(heads, message, key=_SORT_KEY)
+            pool.insert(position, message)
+        target = object.__new__(Configuration)
+        origin = (self.actors, tuple(sorted(changed))) if changed else None
+        target._set(actors, index, tuple(pool), tuple(heads), origin)
+        return target
 
     def changes(
         self, target: Configuration
@@ -567,14 +657,16 @@ class Configuration:
         """The actors ``target`` adds, removes or replaces with an unequal
         snapshot, as (address, before, after) ordered by address; ``None``
         stands for an absent actor."""
-        before = dict(self.actors)
-        changed = []
-        for address, after in target.actors:
-            prior = before.pop(address, None)
-            if prior is not after and prior != after:
-                changed.append((address, prior, after))
-        changed.extend((address, prior, None) for address, prior in before.items())
-        return sorted(changed, key=lambda change: change[0])
+        if target.actors is self.actors:
+            return []
+        if target._origin is not None and target._origin[0] is self.actors:
+            candidates = [(a, self.actor(a), target.actor(a)) for a in target._origin[1]]
+        else:
+            before = dict(self.actors)
+            candidates = [(a, before.pop(a, None), after) for a, after in target.actors]
+            candidates.extend((a, prior, None) for a, prior in before.items())
+            candidates.sort(key=_ADDRESS)
+        return [c for c in candidates if c[1] is not c[2] and c[1] != c[2]]
 
     def instances(self) -> Iterator[tuple[str, WsoInstance]]:
         for address, snapshot in self.actors:

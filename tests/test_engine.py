@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from qosorch import engine
@@ -18,6 +20,7 @@ from qosorch.engine import (
 )
 from qosorch.model import (
     ActivityState,
+    Configuration,
     InstanceState,
     Message,
     MessageKind,
@@ -464,6 +467,21 @@ class TestExploreGraph:
         edges = {(t.source, t.message) for trace in traces for t in trace.steps}
         assert calls == len(edges)
 
+    def test_interns_configurations_equal_up_to_cross_channel_order(self, pair_one, monkeypatch):
+        calls = 0
+        original = engine.step
+
+        def counting_step(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "step", counting_step)
+        traces = explore(pair_one.workflow, pair_one.registry, pair_one.requests, max_transitions=200)
+        assert len(traces) == 2268
+        assert len({c for trace in traces for c in trace.configurations()}) == 67
+        assert calls == 147
+
     def test_bounds_raise_where_the_naive_search_says(self, pair_two_denied):
         args = (pair_two_denied.workflow, pair_two_denied.registry, pair_two_denied.requests)
         naive = support.naive_explore(*args)
@@ -473,3 +491,61 @@ class TestExploreGraph:
             explore(*args, max_transitions=longest, max_traces=count - 1)
         with pytest.raises(StateSpaceLimitError, match=f"exceeded {longest - 1} transitions"):
             explore(*args, max_transitions=longest - 1, max_traces=count)
+
+
+class TestCanonicalConfiguration:
+    """advance derives a target's canonical pool, deliverable heads, address
+    index and changed addresses from its source; building the same
+    configuration from scratch must agree in every respect."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_advance_agrees_with_a_rebuilt_configuration(
+        self, data, minimal_two, pair_two_denied, bookstore_feasible
+    ):
+        fixture_set = data.draw(st.sampled_from([minimal_two, pair_two_denied, bookstore_feasible]))
+        config = initial_configuration(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests
+        )
+        for _ in range(data.draw(st.integers(1, 60))):
+            if not config.heads:
+                break
+            message = data.draw(st.sampled_from(config.heads))
+            source, config = config, step(config, message).target
+            # Actors and channels in another order, each channel's FIFO kept.
+            rebuilt = Configuration(
+                actors=tuple(reversed(config.actors)),
+                undelivered=tuple(sorted(config.undelivered, key=lambda m: (m.sender, m.receiver))),
+            )
+            assert config == rebuilt and hash(config) == hash(rebuilt)
+            assert config.heads == rebuilt.heads
+            assert enabled(config) == enabled(rebuilt)
+            assert source.changes(config) == source.changes(rebuilt)
+            assert config.changes(source) == rebuilt.changes(source)
+
+    def test_per_step_message_work_does_not_grow_with_clients(self, bookstore_feasible, monkeypatch):
+        """Count the Python-level Message comparisons and sort keys a run
+        makes per step: sorting or scanning the pool makes the count grow
+        with the number of clients."""
+        calls = 0
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Message, "sort_key", counted(Message.sort_key))
+        monkeypatch.setattr(Message, "__eq__", counted(Message.__eq__))
+        per_step = {}
+        for clients in (10, 40):
+            requests = [
+                dataclasses.replace(bookstore_feasible.requests[0], client_id=f"c{i:02d}")
+                for i in range(clients)
+            ]
+            calls = 0
+            trace = run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, seed=0)
+            per_step[clients] = calls / len(trace)
+        assert per_step[40] <= per_step[10] + 1

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from qosorch import engine, formats
+from qosorch import cli, engine, formats
 from qosorch.conformance import Violation, check_behavior
 from qosorch.model import MessageKind, QoSSpec, WsoRequest
 
@@ -82,6 +83,41 @@ class TestTraceFiles:
         records[1]["index"] = 5
         with pytest.raises(formats.FormatError):
             formats.traces_from_records(records)
+
+    def test_shared_transitions_write_the_bytes_of_their_records(self, tmp_path, minimal_two):
+        traces = engine.explore(
+            minimal_two.workflow, minimal_two.registry, minimal_two.requests, max_transitions=50
+        )
+        path = tmp_path / "traces.jsonl"
+        formats.write_traces(traces, path)
+        expected = [
+            json.dumps(record, sort_keys=True)
+            for trace_index, trace in enumerate(traces)
+            for record in formats.trace_to_records(trace, trace_index)
+        ]
+        assert path.read_text(encoding="utf-8").splitlines() == expected
+
+    def test_shuffled_transition_records_still_read(self, tmp_path, minimal_two):
+        traces = engine.explore(
+            minimal_two.workflow, minimal_two.registry, minimal_two.requests, max_transitions=50
+        )[:5]
+        lines = []
+        rng = random.Random(0)
+        for trace_index, trace in enumerate(traces):
+            header, *transitions = formats.trace_to_records(trace, trace_index)
+            rng.shuffle(transitions)
+            lines += [json.dumps(record) for record in [header, *transitions]]
+        path = tmp_path / "shuffled.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert formats.read_traces(path) == list(traces)
+
+    def test_duplicated_transition_index_is_an_input_error(self, tmp_path, golden_dir, capsys):
+        lines = (golden_dir / "bookstore_seed0.jsonl").read_text(encoding="utf-8").splitlines()
+        # Line 4 is transition 2; its copy goes last, after transitions 3 onwards.
+        path = tmp_path / "duplicated.jsonl"
+        path.write_text("".join(line + "\n" for line in lines + [lines[3]]), encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 1
+        assert f"{path}:{len(lines) + 1}: trace 0: expected transition 3, got 2" in capsys.readouterr().err
 
     def test_write_is_deterministic(self, tmp_path, minimal_one):
         trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=9)

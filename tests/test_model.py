@@ -353,6 +353,31 @@ class TestConfigurationAccessors:
             )
 
 
+class TestCanonicalPool:
+    """The pool is a set of per-channel FIFO queues: only the order within a
+    channel is part of a configuration."""
+
+    # Two invocations on one channel, in this order, and one on another.
+    first = Message(MessageKind.INVOKE_WS, activity_address("c1", "A"), service_address("c1", "A"),
+                    "c1", params={"n": "1"})
+    second = dataclasses.replace(first, params={"n": "2"})
+    other = sample_message(MessageKind.INVOKE)
+
+    def test_order_across_channels_is_not_part_of_equality(self):
+        left = Configuration(actors=(), undelivered=(self.first, self.other, self.second))
+        right = Configuration(actors=(), undelivered=(self.other, self.first, self.second))
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.undelivered == right.undelivered
+
+    def test_order_within_a_channel_is(self):
+        left = Configuration(actors=(), undelivered=(self.first, self.other, self.second))
+        right = Configuration(actors=(), undelivered=(self.second, self.other, self.first))
+        assert left != right
+        assert left.channel(self.first.sender, self.first.receiver) == (self.first, self.second)
+        assert right.heads == tuple(sorted((self.second, self.other), key=Message.sort_key))
+
+
 class TestTrace:
     def test_adjacency_enforced(self):
         instance = WsoInstance.create(make_request(), ["A"])
