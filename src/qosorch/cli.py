@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
   0  success
-  1  input error (missing or malformed file)
+  1  input error (usage error, invalid bound, missing or malformed file)
   2  engine error
   3  state-space bound exceeded
   4  conformance violations found
@@ -26,8 +26,25 @@ EXIT_BOUND = 3
 EXIT_VIOLATION = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def positive(text: str) -> int:
+    """An integer of at least 1; argparse names this type in its error for
+    text that is not an integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qosorch",
         description="Run, explore, and check QoS-aware service orchestrations.",
     )
@@ -49,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_inputs(explore_p)
     explore_p.add_argument(
         "--max-transitions",
-        type=int,
+        type=positive,
         default=10_000,
         help="per-trace transition bound (default 10000)",
     )

@@ -2,34 +2,38 @@
 
 The layers refine each other:
 
-* behavior  -- every snapshot is well-formed where it first appears, every
-               message belongs to the closed vocabulary, every pending
-               message's addresses resolve, and every transition is
-               reproducible by re-applying the rule engine;
-* system    -- instance creation snapshots are field-exact, requests and
-               activity sets stay constant, states move monotonically,
-               denied instances stay unbound, bindings imply a grant, and
-               every instance eventually reaches a terminal state;
-* service   -- per client and per trace, exactly one of acceptance (with the
+* behavior  -- every snapshot is well-formed, every message belongs to the
+               closed vocabulary, every pending message's addresses
+               resolve, and every transition is reproducible by re-applying
+               the rule engine;
+* system    -- instances are created by R1 alone with field-exact
+               snapshots, requests and activity sets stay constant, states
+               move monotonically, denied instances stay unbound, bindings
+               imply a grant, and every instance ends in a terminal state;
+* service   -- every client received exactly one of acceptance (with the
                final bound services offered by the registry and aggregating
-               within the requested budget) or rejection happens, and every
-               rejection agrees with an independent brute-force selection
-               oracle.
+               within the requested budget) or rejection, and every
+               rejection agrees with an independent selection oracle.
 
-Checkers re-derive everything from the configurations themselves; they never
-trust engine annotations.  The selection oracle here is intentionally a
-separate implementation from the selector the engine uses.
+Every check is a fact of one transition, the initial configuration counting
+as a change from the empty one, or of one final configuration together with
+the shared initial one.  So each fault is reported once, where it first
+appears or at the end, and each fact is computed once however many traces
+share its object.  Checkers re-derive everything from the configurations
+themselves; they never trust engine annotations.  The selection oracle here
+is intentionally a separate implementation from the selector the engine
+uses.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import engine as engine_mod
 from .model import (
     ActivityState,
+    ClientRecord,
     Configuration,
     InstanceState,
     ManagerState,
@@ -44,10 +48,13 @@ from .model import (
     WSOIM_ADDRESS,
     WsoInstance,
     activity_state_can_follow,
+    client_address,
     get_wsoi,
+    instance_address,
     instance_state_can_follow,
     message_schema_error,
     resolvable_addresses,
+    resolves,
     snapshot_error,
 )
 from .registry import Registry
@@ -110,6 +117,63 @@ class PyramidVerdict(Verdict):
 
 
 # ---------------------------------------------------------------------------
+# Facts
+
+_EMPTY = Configuration(actors=())
+
+
+def _transitions(trace: Trace):
+    """The initial configuration at index None, then each (index, step)."""
+    yield None, trace.initial
+    yield from enumerate(trace.steps)
+
+
+def _final(trace: Trace):
+    yield None, trace.final
+
+
+def _change(place):
+    """(source, target, transition) of a transition, or of an initial
+    configuration seen as a change from the empty one (transition None)."""
+    if isinstance(place, Transition):
+        return place.source, place.target, place
+    return _EMPTY, place, None
+
+
+def _stamp(traces: Sequence[Trace], *judges) -> Verdict:
+    """The violations of each (places, fact) judge over a trace set.
+
+    places(trace) yields (index, object) pairs and fact(object) gives notes:
+    (property, witness) at that index, or (property, witness, message) at
+    the first transition of the trace that emits the message, if any.  A
+    fact is computed once per distinct object, keyed by id, which no other
+    object can take while the traces keep every one alive; the notes are
+    stamped at each place only when some fact has one.
+    """
+    memos: list[dict[int, list]] = [{} for _ in judges]
+    for (places, fact), memo in zip(judges, memos):
+        for trace in traces:
+            for _, place in places(trace):
+                if id(place) not in memo:
+                    memo[id(place)] = fact(place)
+    if not any(notes for memo in memos for notes in memo.values()):
+        return Verdict.from_violations(())
+
+    def emitted_at(trace: Trace, message: Message) -> int | None:
+        return next((i for i, t in enumerate(trace.steps) if message in t.emitted), None)
+
+    return Verdict.from_violations(
+        [
+            Violation(property_id, trace_index, emitted_at(trace, *at) if at else index, witness)
+            for trace_index, trace in enumerate(traces)
+            for (places, _), memo in zip(judges, memos)
+            for index, place in places(trace)
+            for property_id, witness, *at in memo[id(place)]
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
 # Behavior layer
 
 def _replay_selector(emitted: Sequence[Message]):
@@ -143,32 +207,19 @@ def _replay_selector(emitted: Sequence[Message]):
     return selector
 
 
-_EMPTY = Configuration(actors=())
-
-
-def _steps(trace: Trace):
-    """Each configuration of a trace as (position, introducer, source, target,
-    new messages).  The introducer is the object that brings the
-    configuration in: its transition, or for the initial configuration, at
-    position None, the configuration itself, which counts as a change from
-    the empty configuration."""
-    initial = trace.initial
-    yield None, initial, _EMPTY, initial, initial.undelivered
-    for index, t in enumerate(trace.steps):
-        yield index, t, t.source, t.target, t.emitted
-
-
-def _introduced_notes(source, target, new_messages, resolvable: set[str]) -> list[tuple[str, str]]:
-    """(property, witness) for the snapshots and messages a configuration
-    introduces and for its pool's addresses.  Moves resolvable from the
-    source's addresses to the target's."""
+def _behavior_notes(place) -> list[tuple[str, str]]:
+    """(property, witness) for the snapshots and messages a transition
+    introduces, for the pending addresses it leaves unresolvable, and for a
+    rule application the engine does not reproduce."""
+    source, target, transition = _change(place)
     notes: list[tuple[str, str]] = []
+    lost: set[str] = set()  # addresses resolvable in the source only
     for address, before, after in source.changes(target):
         if before is not None:
-            resolvable.difference_update(resolvable_addresses(address, before))
+            kept = () if after is None else resolvable_addresses(address, after)
+            lost.update(a for a in resolvable_addresses(address, before) if a not in kept)
         if after is None:
             continue
-        resolvable.update(resolvable_addresses(address, after))
         error = snapshot_error(address, after)
         if error is not None:
             notes.append((P_MESSAGE_VOCABULARY, error))
@@ -180,19 +231,30 @@ def _introduced_notes(source, target, new_messages, resolvable: set[str]) -> lis
         for aa in after.activities:
             if not isinstance(aa.state, ActivityState):
                 notes.append((P_STATE_DOMAIN, f"activity {aa.aa_name!r} has state {aa.state!r}"))
-    for message in target.undelivered:
-        for address in (message.sender, message.receiver):
-            if address not in resolvable:
-                notes.append(
-                    (
-                        P_MESSAGE_VOCABULARY,
-                        f"{message.kind.value} references unresolvable address {address!r}",
-                    )
-                )
+    new_messages = target.undelivered if transition is None else transition.emitted
     for message in new_messages:
         schema_error = message_schema_error(message)
         if schema_error is not None:
             notes.append((P_MESSAGE_VOCABULARY, schema_error))
+
+    # A pending address first fails to resolve where its message arrives or
+    # where a change takes away the addresses that resolved it.
+    unresolvable = [
+        (message, address)
+        for message in new_messages
+        if message in target.channel(message.sender, message.receiver)
+        for address in (message.sender, message.receiver)
+        if address not in lost and not resolves(target, address)
+    ]
+    if lost:
+        unresolvable.extend(
+            (m, a) for m in target.undelivered for a in (m.sender, m.receiver) if a in lost
+        )
+    for message, address in unresolvable:
+        witness = f"{message.kind.value} references unresolvable address {address!r}"
+        notes.append((P_MESSAGE_VOCABULARY, witness))
+    if transition is not None:
+        notes.extend(_replay_notes(transition))
     return notes
 
 
@@ -228,112 +290,67 @@ def _replay_notes(transition: Transition) -> list[tuple[str, str]]:
 def check_behavior(traces: Sequence[Trace]) -> Verdict:
     """Check a trace set against the transition rules by replaying every step.
 
-    Each snapshot and message is checked where it first appears; every
-    pending message's addresses must resolve in every configuration.  The
-    selection decision itself is taken as recorded (the selector is free to
-    grant or deny at this layer); everything downstream of the decision must
-    be reproducible mechanically.
-
-    What a transition yields depends on the transition alone, so a
-    transition that several traces share is checked once and its violations
-    are stamped at each (trace, index) where it occurs.  The one piece of
-    running state is the set of resolvable addresses, which is a function of
-    the configuration's actors: resolvable_addresses gives disjoint sets for
-    distinct actor addresses, so removing a replaced actor's addresses and
-    adding its successor's leaves exactly the union over the target's
-    actors.  After a transition checked earlier the set is not kept up to
-    date, and the next transition checked afresh rebuilds it from its
-    source's actors.
+    Each snapshot and message is checked where it first appears, and each
+    pending address where it first fails to resolve.  The selection decision
+    itself is taken as recorded (the selector is free to grant or deny at
+    this layer); everything downstream of the decision must be reproducible.
     """
-    violations: list[Violation] = []
-    memo: dict = {}
-    for trace_index, trace in enumerate(traces):
-        resolvable: set[str] | None = None  # None: rebuild from the next source's actors
-        for index, introducer, source, target, new_messages in _steps(trace):
-            # Entries hold their introducer, so no id is reused while the memo lives.
-            entry = memo.get(id(introducer))
-            if entry is not None and entry[0] is introducer:
-                resolvable = None
-            else:
-                if resolvable is None:
-                    resolvable = {
-                        resolved
-                        for address, snapshot in source.actors
-                        for resolved in resolvable_addresses(address, snapshot)
-                    }
-                notes = _introduced_notes(source, target, new_messages, resolvable)
-                if index is not None:
-                    notes.extend(_replay_notes(introducer))
-                entry = memo[id(introducer)] = (introducer, notes)
-            violations.extend(
-                Violation(property_id, trace_index, index, witness)
-                for property_id, witness in entry[1]
-            )
-    return Verdict.from_violations(violations)
+    return _stamp(traces, (_transitions, _behavior_notes))
 
 
 # ---------------------------------------------------------------------------
 # System layer
 
-def _require_shared_initial(traces: Sequence[Trace]) -> None:
-    if not traces:
-        return
-    first = traces[0].initial
-    for trace in traces[1:]:
-        if trace.initial != first:
-            raise ValueError("trace sets must share one initial configuration")
+def _shared_initial(traces: Sequence[Trace]) -> Configuration:
+    """The initial configuration every trace starts from; the empty one for
+    no traces."""
+    first = traces[0].initial if traces else _EMPTY
+    if any(trace.initial != first for trace in traces):
+        raise ValueError("trace sets must share one initial configuration")
+    return first
 
 
 def _seeded_requests(config: Configuration) -> list[Message]:
     return [m for m in config.undelivered if m.kind is MessageKind.WSO_REQUEST]
 
 
-def _check_creation(trace, note) -> None:
-    for request_msg in _seeded_requests(trace.initial):
-        creations = [
-            (index, t)
-            for index, t in enumerate(trace.steps)
-            if t.rule is RuleId.R1_WSOIM_CREATE and t.message == request_msg
-        ]
-        if len(creations) != 1:
-            note(
-                P_UNIQUE_CREATION,
-                None,
-                f"request {request_msg.client_id!r} processed at "
-                f"{len(creations)} stages, expected exactly one",
-            )
-            continue
-        index, transition = creations[0]
-        instance = get_wsoi(transition.target, request_msg.client_id)
-        if instance is None:
-            note(P_CREATION_SNAPSHOT, index, "creation produced no instance")
-            continue
-        problems: list[str] = []
-        request = instance.request
-        if (
-            request.client_id != request_msg.client_id
-            or request.ontology != request_msg.ontology
-            or request.qos != request_msg.qos
-            or request.input_parameters != (request_msg.params or ())
-        ):
-            problems.append("stored request differs from the incoming request")
-        if instance.state is not InstanceState.WAITING:
-            problems.append(f"state is {instance.state.value}, expected Waiting")
-        if instance.output_parameters is not None:
-            problems.append("outputs are set at creation")
-        if not instance.activities:
-            problems.append("instance has no activities")
-        for aa in instance.activities:
-            if aa.qos is not None or aa.input_parameters is not None or aa.output_parameters is not None:
-                problems.append(f"activity {aa.aa_name!r} carries data at creation")
-            if aa.state is not ActivityState.PREPARING:
-                problems.append(f"activity {aa.aa_name!r} is {aa.state.value}, expected Preparing")
-            if aa.ws.bound:
-                problems.append(f"activity {aa.aa_name!r} is bound at creation")
-            if aa.wsoi_id != request_msg.client_id:
-                problems.append(f"activity {aa.aa_name!r} names owner {aa.wsoi_id!r}")
-        for problem in problems:
-            note(P_CREATION_SNAPSHOT, index, problem)
+def _creation_notes(transition: Transition, seeded) -> list[tuple[str, str]]:
+    """(property, witness) for an R1 transition: it must consume a seeded
+    request that has no instance yet and create a field-exact one."""
+    request_msg = transition.message
+    cid = request_msg.client_id
+    if request_msg not in seeded:
+        return [(P_UNIQUE_CREATION, f"request {cid!r} is not a seeded request")]
+    if get_wsoi(transition.source, cid) is not None:
+        return [(P_UNIQUE_CREATION, f"request {cid!r} already has an instance")]
+    instance = get_wsoi(transition.target, cid)
+    if instance is None:
+        return [(P_CREATION_SNAPSHOT, "creation produced no instance")]
+    problems: list[str] = []
+    request = instance.request
+    if (
+        request.client_id != request_msg.client_id
+        or request.ontology != request_msg.ontology
+        or request.qos != request_msg.qos
+        or request.input_parameters != (request_msg.params or ())
+    ):
+        problems.append("stored request differs from the incoming request")
+    if instance.state is not InstanceState.WAITING:
+        problems.append(f"state is {instance.state.value}, expected Waiting")
+    if instance.output_parameters is not None:
+        problems.append("outputs are set at creation")
+    if not instance.activities:
+        problems.append("instance has no activities")
+    for aa in instance.activities:
+        if aa.qos is not None or aa.input_parameters is not None or aa.output_parameters is not None:
+            problems.append(f"activity {aa.aa_name!r} carries data at creation")
+        if aa.state is not ActivityState.PREPARING:
+            problems.append(f"activity {aa.aa_name!r} is {aa.state.value}, expected Preparing")
+        if aa.ws.bound:
+            problems.append(f"activity {aa.aa_name!r} is bound at creation")
+        if aa.wsoi_id != request_msg.client_id:
+            problems.append(f"activity {aa.aa_name!r} names owner {aa.wsoi_id!r}")
+    return [(P_CREATION_SNAPSHOT, problem) for problem in problems]
 
 
 def _check_succession(prior: WsoInstance, current, note) -> None:
@@ -362,23 +379,29 @@ def _check_succession(prior: WsoInstance, current, note) -> None:
             )
 
 
-def _lifecycle_changes(source: Configuration, target: Configuration):
-    """What one configuration change means to the instances: (property,
-    witness) for its succession and binding faults, and (address, state) for
-    each new instance snapshot."""
+def _lifecycle_notes(place, seeded) -> list[tuple[str, str]]:
+    """(property, witness) for what one transition does to the instances:
+    creation on R1, succession where a prior instance is replaced, an
+    instance that appears without being created, and the binding
+    constraints on each new instance snapshot."""
+    source, target, transition = _change(place)
     notes: list[tuple[str, str]] = []
-    states: list[tuple[str, InstanceState]] = []
 
     def note(property_id: str, witness: str) -> None:
         notes.append((property_id, witness))
 
+    created = None
+    if transition is not None and transition.rule is RuleId.R1_WSOIM_CREATE:
+        notes.extend(_creation_notes(transition, seeded))
+        created = instance_address(transition.message.client_id)
     for address, prior, current in source.changes(target):
         if isinstance(prior, WsoInstance):
             _check_succession(prior, current, note)
         if not isinstance(current, WsoInstance):
             continue
-        states.append((address, current.state))
         cid = current.client_id
+        if not isinstance(prior, WsoInstance) and address != created:
+            note(P_UNIQUE_CREATION, f"instance {cid!r} appeared without a creation")
         bound = [aa.aa_name for aa in current.activities if aa.ws.bound]
         if current.state is InstanceState.DENIED and bound:
             note(P_DENIED_UNBOUND, f"denied instance {cid!r} holds bindings {bound}")
@@ -391,59 +414,47 @@ def _lifecycle_changes(source: Configuration, target: Configuration):
                 P_BINDING_REQUIRES_GRANT,
                 f"instance {cid!r} is {current.state.value} with bindings {bound}",
             )
-    return notes, states
+    return notes
 
 
-def _check_lifecycle(trace, note, memo: dict) -> None:
-    """One walk over the changes, following each instance by its address:
-    succession where a prior instance is replaced, binding constraints on
-    each new instance snapshot, and progress of the final instances judged
-    from the states each went through.  What a change means depends on the
-    change alone, so memo keeps it per introducer for the whole trace set;
-    only the visited states are kept per trace."""
-    visited: dict[str, set[InstanceState]] = {}
-    for index, introducer, source, target, _ in _steps(trace):
-        # Entries hold their introducer, so no id is reused while a memo lives.
-        entry = memo.get(id(introducer))
-        if entry is None or entry[0] is not introducer:
-            entry = memo[id(introducer)] = (introducer, _lifecycle_changes(source, target))
-        notes, states = entry[1]
-        for property_id, witness in notes:
-            note(property_id, index, witness)
-        for address, state in states:
-            visited.setdefault(address, set()).add(state)
-    for address, instance in trace.final.instances():
+def _progress_notes(final: Configuration, seeded) -> list[tuple[str, str]]:
+    """(property, witness) for a seeded request that ends without an
+    instance and for an instance that ends short of a terminal state."""
+    notes: list[tuple[str, str]] = []
+    for request_msg in seeded:
+        if get_wsoi(final, request_msg.client_id) is None:
+            witness = f"request {request_msg.client_id!r} ended without an instance"
+            notes.append((P_UNIQUE_CREATION, witness))
+    for _, instance in final.instances():
         cid = instance.client_id
-        states = visited[address]
         if instance.state is InstanceState.WAITING:
-            note(P_WAITING_PROGRESS, None, f"instance {cid!r} never left Waiting")
-        if InstanceState.GRANTED in states:
-            if instance.state is not InstanceState.COMPLETED:
-                note(
-                    P_GRANTED_PROGRESS,
-                    None,
-                    f"granted instance {cid!r} ended {instance.state.value}",
-                )
-            elif InstanceState.SERVICING not in states:
-                note(P_GRANTED_PROGRESS, None, f"instance {cid!r} completed without servicing")
+            notes.append((P_WAITING_PROGRESS, f"instance {cid!r} never left Waiting"))
+        elif instance.state in (InstanceState.GRANTED, InstanceState.SERVICING):
+            witness = f"granted instance {cid!r} ended {instance.state.value}"
+            notes.append((P_GRANTED_PROGRESS, witness))
+    return notes
 
 
 def check_system(traces: Sequence[Trace]) -> Verdict:
     """Check instance-lifecycle and binding-state constraints over a trace set.
 
-    All traces must start from the same initial configuration.  A transition
-    that several traces share is examined once.
+    All traces must start from the same initial configuration.  Every fact
+    is one of a transition or of a final configuration.  Creation is a fact
+    of the R1 transition, and an instance that appears anywhere else is a
+    unique-creation fault at that transition.  Progress is read from the
+    final instance state alone, which suffices: every instance snapshot is
+    created Waiting or reported, and every change of state is checked
+    against the successor relation, where Completed follows only Servicing
+    and Servicing only Granted.  So an instance that ends Completed with no
+    fault reported went through Granted and Servicing, and one that ends
+    Granted or Servicing was granted and never completed.
     """
-    _require_shared_initial(traces)
-    violations: list[Violation] = []
-    memo: dict = {}
-    for trace_index, trace in enumerate(traces):
-        def note(property_id: str, transition_index: int | None, witness: str) -> None:
-            violations.append(Violation(property_id, trace_index, transition_index, witness))
-
-        _check_creation(trace, note)
-        _check_lifecycle(trace, note, memo)
-    return Verdict.from_violations(violations)
+    seeded = _seeded_requests(_shared_initial(traces))
+    return _stamp(
+        traces,
+        (_transitions, lambda place: _lifecycle_notes(place, seeded)),
+        (_final, lambda final: _progress_notes(final, seeded)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,153 +463,125 @@ def check_system(traces: Sequence[Trace]) -> Verdict:
 def _oracle_feasible(
     request_qos: QoSSpec, ontologies: Sequence[str], registry: Registry
 ) -> bool:
-    """Independent brute-force feasibility check over all candidate combos.
+    """Independent feasibility check: is there one candidate per ontology
+    within the time bound whose costs sum within the cost budget?
 
     A combination's response time is its slowest candidate's, so only
     candidates within the time bound can take part: each slot is cut to
-    those before the combinations of the rest are enumerated."""
+    those.  The total costs reachable by picking from the slots in turn are
+    then kept as a set, capped at the budget, so the work is bounded by the
+    slots times the budget rather than the product of the slots."""
     bound = request_qos.response_time_ms
-    slots = [
-        [c for c in registry.query(ontology) if c.qos.response_time_ms <= bound]
-        for ontology in ontologies
-    ]
-    if any(not slot for slot in slots):
-        return False
-    for combo in itertools.product(*slots):
-        if sum(c.qos.cost_cents for c in combo) <= request_qos.cost_cents:
-            return True
-    return False
+    reachable = {0}
+    for ontology in ontologies:
+        slot = [c for c in registry.query(ontology) if c.qos.response_time_ms <= bound]
+        costs = {c.qos.cost_cents for c in slot}
+        reachable = {
+            total + cost
+            for total in reachable
+            for cost in costs
+            if total + cost <= request_qos.cost_cents
+        }
+    return bool(reachable)
 
 
 _CLIENT_REPLIES = (MessageKind.GRANTED_REPLY, MessageKind.COMPLETED_REPLY, MessageKind.DENIED_REPLY)
 
 
-def _client_replies(trace: Trace) -> dict[str, dict[MessageKind, list[int]]]:
-    """Per client id, the indexes of the transitions that emit each kind of
-    terminal reply to it, in one pass over the trace."""
-    replies: dict[str, dict[MessageKind, list[int]]] = {}
-    for index, transition in enumerate(trace.steps):
-        for message in transition.emitted:
-            if message.kind in _CLIENT_REPLIES:
-                by_kind = replies.get(message.client_id)
-                if by_kind is None:
-                    by_kind = replies[message.client_id] = {kind: [] for kind in _CLIENT_REPLIES}
-                by_kind[message.kind].append(index)
-    return replies
+def _service_notes(final: Configuration, initial: Configuration, feasible: dict) -> list:
+    """Notes for the seeded requests in one final configuration, judged from
+    the replies each client received; a note about the completion or the
+    rejection names that reply.  feasible memoizes the oracle per seeded
+    position."""
+    manager = initial.actor(WSOIM_ADDRESS)
+    selector_state = initial.actor(SS_ADDRESS)
+    workflow = manager.workflow if isinstance(manager, ManagerState) else None
+    registry = selector_state.registry if isinstance(selector_state, SelectorState) else None
+    notes: list[tuple] = []
+
+    def note(property_id: str, witness: str, reply: Message | None = None) -> None:
+        notes.append((property_id, witness) if reply is None else (property_id, witness, reply))
+
+    for position, request_msg in enumerate(_seeded_requests(initial)):
+        cid = request_msg.client_id
+        record = final.actor(client_address(cid))
+        received = record.received if isinstance(record, ClientRecord) else ()
+        replies = [m for m in received if m.kind in _CLIENT_REPLIES and m.client_id == cid]
+        granted, completed, denied = ([m.kind for m in replies].count(k) for k in _CLIENT_REPLIES)
+        if (granted, completed, denied) not in ((1, 1, 0), (0, 0, 1)):
+            note(
+                P_REPLY_DICHOTOMY,
+                f"client {cid!r} saw granted={granted} completed={completed} "
+                f"denied={denied}; expected one acceptance xor one rejection",
+            )
+            continue
+        # The completion of an acceptance, or the denial of a rejection.
+        reply = next(m for m in replies if m.kind is not MessageKind.GRANTED_REPLY)
+        if denied:
+            if workflow is None or registry is None:
+                note(P_DENIAL_ORACLE, "missing manager or selector state", reply)
+            elif request_msg.qos is None:
+                note(P_DENIAL_ORACLE, f"request of client {cid!r} carries no QoS budget", reply)
+            else:
+                if position not in feasible:
+                    ontologies = [ontology for _, ontology in workflow.activities]
+                    feasible[position] = _oracle_feasible(request_msg.qos, ontologies, registry)
+                if feasible[position]:
+                    witness = f"client {cid!r} was rejected although a feasible assignment exists"
+                    note(P_DENIAL_ORACLE, witness, reply)
+            continue
+        instance = get_wsoi(final, cid)
+        if instance is None:
+            note(P_GRANT_FEASIBILITY, f"no final instance for {cid!r}")
+            continue
+        bound = [aa.ws.advertised_qos for aa in instance.activities if aa.ws.bound]
+        if len(bound) != len(instance.activities):
+            note(P_GRANT_FEASIBILITY, f"accepted instance {cid!r} has unbound activities")
+            continue
+        worst = max(q.response_time_ms for q in bound)
+        total = sum(q.cost_cents for q in bound)
+        budget = request_msg.qos
+        if budget is None:
+            note(P_GRANT_FEASIBILITY, f"request of client {cid!r} carries no QoS budget", reply)
+        elif worst > budget.response_time_ms or total > budget.cost_cents:
+            note(
+                P_GRANT_FEASIBILITY,
+                f"client {cid!r} accepted with aggregate ({worst}ms,{total}c) "
+                f"over budget ({budget.response_time_ms}ms,{budget.cost_cents}c)",
+                reply,
+            )
+        if workflow is None or registry is None:
+            note(P_GRANT_FEASIBILITY, "missing manager or selector state", reply)
+            continue
+        ontology_of = dict(workflow.activities)
+        for aa in instance.activities:
+            offered = [(c.candidate_id, c.qos) for c in registry.query(ontology_of.get(aa.aa_name))]
+            if (aa.ws.endpoint, aa.ws.advertised_qos) not in offered:
+                note(
+                    P_GRANT_FEASIBILITY,
+                    f"client {cid!r} bound {aa.aa_name!r} to {aa.ws.endpoint!r}, "
+                    f"which the registry does not offer at that QoS for that activity",
+                    reply,
+                )
+    return notes
 
 
 def check_service(traces: Sequence[Trace]) -> Verdict:
     """Check the acceptance/rejection dichotomy and its QoS obligations.
 
-    Every seeded request must, in every trace, be either accepted exactly once
-    (granted and later completed, with every final bound service a candidate
-    the registry offers for its activity at the bound QoS, aggregating within
-    the requested budget) or rejected exactly once (with the rejection
-    re-verified against the brute-force selection oracle).  The traces share
-    one initial configuration, so the oracle runs at most once per seeded
-    request.
+    Every seeded client must, in every final configuration, have received
+    either an acceptance (a granted and a completed reply, with every final
+    bound service a candidate the registry offers for its activity at the
+    bound QoS, aggregating within the requested budget) or a rejection (one
+    denied reply, re-verified against the selection oracle), and nothing
+    else.  The checks are a fact of each distinct final configuration, and
+    a note about the completion or the rejection is stamped at the
+    transition that emitted that reply.  The traces share one initial
+    configuration, so the oracle runs at most once per seeded request.
     """
-    _require_shared_initial(traces)
-    if not traces:
-        return Verdict.from_violations(())
-    initial = traces[0].initial
-    manager = initial.actor(WSOIM_ADDRESS)
-    selector_state = initial.actor(SS_ADDRESS)
-    workflow = manager.workflow if isinstance(manager, ManagerState) else None
-    registry = selector_state.registry if isinstance(selector_state, SelectorState) else None
-    seeded = _seeded_requests(initial)
+    initial = _shared_initial(traces)
     feasible: dict[int, bool] = {}  # seeded position -> oracle verdict
-    violations: list[Violation] = []
-    for trace_index, trace in enumerate(traces):
-        def note(property_id: str, transition_index: int | None, witness: str) -> None:
-            violations.append(Violation(property_id, trace_index, transition_index, witness))
-
-        trace_replies = _client_replies(trace)
-        no_replies = {kind: [] for kind in _CLIENT_REPLIES}
-        for position, request_msg in enumerate(seeded):
-            cid = request_msg.client_id
-            replies = trace_replies.get(cid, no_replies)
-            granted = len(replies[MessageKind.GRANTED_REPLY])
-            completed = len(replies[MessageKind.COMPLETED_REPLY])
-            denied = len(replies[MessageKind.DENIED_REPLY])
-            accepted = (granted, completed, denied) == (1, 1, 0)
-            rejected = (granted, completed, denied) == (0, 0, 1)
-            if not (accepted ^ rejected):
-                note(
-                    P_REPLY_DICHOTOMY,
-                    None,
-                    f"client {cid!r} saw granted={granted} completed={completed} "
-                    f"denied={denied}; expected one acceptance xor one rejection",
-                )
-                continue
-            if accepted:
-                instance = get_wsoi(trace.final, cid)
-                if instance is None:
-                    note(P_GRANT_FEASIBILITY, None, f"no final instance for {cid!r}")
-                    continue
-                bound = [aa.ws.advertised_qos for aa in instance.activities if aa.ws.bound]
-                if len(bound) != len(instance.activities):
-                    note(
-                        P_GRANT_FEASIBILITY,
-                        None,
-                        f"accepted instance {cid!r} has unbound activities",
-                    )
-                    continue
-                completion = replies[MessageKind.COMPLETED_REPLY][0]
-                worst = max(q.response_time_ms for q in bound)
-                total = sum(q.cost_cents for q in bound)
-                budget = request_msg.qos
-                if budget is None:
-                    note(
-                        P_GRANT_FEASIBILITY,
-                        completion,
-                        f"request of client {cid!r} carries no QoS budget",
-                    )
-                elif worst > budget.response_time_ms or total > budget.cost_cents:
-                    note(
-                        P_GRANT_FEASIBILITY,
-                        completion,
-                        f"client {cid!r} accepted with aggregate ({worst}ms,{total}c) "
-                        f"over budget ({budget.response_time_ms}ms,{budget.cost_cents}c)",
-                    )
-                if workflow is None or registry is None:
-                    note(P_GRANT_FEASIBILITY, completion, "missing manager or selector state")
-                    continue
-                ontology_of = dict(workflow.activities)
-                for aa in instance.activities:
-                    offered = registry.query(ontology_of.get(aa.aa_name))
-                    if (aa.ws.endpoint, aa.ws.advertised_qos) not in [
-                        (c.candidate_id, c.qos) for c in offered
-                    ]:
-                        note(
-                            P_GRANT_FEASIBILITY,
-                            completion,
-                            f"client {cid!r} bound {aa.aa_name!r} to {aa.ws.endpoint!r}, "
-                            f"which the registry does not offer at that QoS for that activity",
-                        )
-            else:
-                rejection_index = replies[MessageKind.DENIED_REPLY][0]
-                if workflow is None or registry is None:
-                    note(P_DENIAL_ORACLE, rejection_index, "missing manager or selector state")
-                    continue
-                if request_msg.qos is None:
-                    note(
-                        P_DENIAL_ORACLE,
-                        rejection_index,
-                        f"request of client {cid!r} carries no QoS budget",
-                    )
-                    continue
-                if position not in feasible:
-                    ontologies = [ontology for _, ontology in workflow.activities]
-                    feasible[position] = _oracle_feasible(request_msg.qos, ontologies, registry)
-                if feasible[position]:
-                    note(
-                        P_DENIAL_ORACLE,
-                        rejection_index,
-                        f"client {cid!r} was rejected although a feasible "
-                        f"assignment exists",
-                    )
-    return Verdict.from_violations(violations)
+    return _stamp(traces, (_final, lambda final: _service_notes(final, initial, feasible)))
 
 
 # ---------------------------------------------------------------------------

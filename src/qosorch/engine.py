@@ -167,14 +167,6 @@ def rule_for(config: Configuration, message: Message) -> RuleId:
     return rule
 
 
-def deliverable(config: Configuration) -> list[Message]:
-    """Pool messages whose (sender, receiver) channel has nothing older
-    pending, in deterministic order (:meth:`Message.sort_key`).  Schedulers
-    pick from these without computing rules; :func:`step` computes the one
-    it fires."""
-    return list(config.heads)
-
-
 def enabled(config: Configuration) -> list[tuple[Message, RuleId]]:
     """Every deliverable message paired with the unique rule it would fire,
     in deterministic order."""

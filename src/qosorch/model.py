@@ -723,6 +723,20 @@ def resolvable_addresses(address: str, snapshot: ActorSnapshot) -> list[str]:
     return addresses
 
 
+def resolves(config: Configuration, address: str) -> bool:
+    """Whether some actor of config makes address resolvable.  Only one
+    actor can: an activity or service address's instance, found from the
+    client id it embeds, and for any other address the actor at it."""
+    owner = address
+    if address_role(address) in (Role.ACTIVITY, Role.SERVICE):
+        client_id = address_client_id(address)
+        if client_id is None:
+            return False
+        owner = instance_address(client_id)
+    snapshot = config.actor(owner)
+    return snapshot is not None and address in resolvable_addresses(owner, snapshot)
+
+
 # ---------------------------------------------------------------------------
 # Transitions and traces
 

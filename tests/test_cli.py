@@ -135,6 +135,30 @@ def bookstore_args(fixtures_dir):
     return build
 
 
+class TestUsage:
+    """Usage errors and invalid bounds are input errors, not engine errors."""
+
+    def exit_code(self, argv):
+        with pytest.raises(SystemExit) as raised:
+            invoke(argv)
+        return raised.value.code
+
+    def test_missing_argument_exits_one(self, capsys):
+        assert self.exit_code(["run", "--workflow", "X"]) == cli.EXIT_INPUT
+        assert "required: --registry, --requests" in capsys.readouterr().err
+
+    def test_non_positive_transition_bound_exits_one(self, bookstore_args, capsys):
+        argv = bookstore_args("bookstore_requests_feasible.jsonl", "--max-transitions", "0")
+        assert self.exit_code(["explore", *argv]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--max-transitions: must be positive, got 0" in err
+        assert "engine error" not in err
+
+    def test_help_exits_zero(self, capsys):
+        assert self.exit_code(["explore", "--help"]) == cli.EXIT_OK
+        assert "--max-transitions" in capsys.readouterr().out
+
+
 class TestRun:
     def test_feasible_run_reports_completion(self, bookstore_args, capsys, tmp_path):
         out = tmp_path / "trace.jsonl"

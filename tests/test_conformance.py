@@ -152,6 +152,23 @@ class TestBehavior:
         assert {v.property_id for v in unresolvable} == {P_MESSAGE_VOCABULARY}
         assert any(repr(invoke["receiver"]) in v.witness for v in unresolvable)
 
+    def test_message_to_an_unknown_activity_is_reported_where_it_is_emitted(self, minimal_run):
+        records = formats.trace_to_records(minimal_run)
+        grant = next(r for r in records if r.get("rule") == RuleId.R2B_SELECT_GRANTED.value)
+        assert grant["index"] < len(minimal_run) - 1  # later configurations still hold it
+
+        def stray_invoke(records):
+            emitted = records[grant["index"] + 1]["emitted"]
+            invoke = next(m for m in emitted if m["kind"] == "invoke")
+            emitted.append(dict(invoke, receiver="aa:c1:nosuch"))
+
+        verdict = check_behavior([reload_with_edit(minimal_run, stray_invoke)])
+        unresolvable = [v for v in verdict.violations if "unresolvable address" in v.witness]
+        assert [(v.transition_index, v.property_id) for v in unresolvable] == [
+            (grant["index"], P_MESSAGE_VOCABULARY)
+        ]
+        assert "'aa:c1:nosuch'" in unresolvable[0].witness
+
 
 class TestSystem:
     def test_explored_sets_conform(self, explored_corpora):
@@ -181,6 +198,22 @@ class TestSystem:
         assert not verdict.passed
         assert P_DENIED_UNBOUND in properties(verdict)
 
+    def test_completion_without_servicing_is_one_monotonicity_fault(self, minimal_run):
+        def skip_servicing(records):
+            for record in records[1:]:
+                for change in record["changed"]:
+                    after = change["after"]
+                    if after and after.get("type") == "instance" and after["state"] == "Servicing":
+                        after["state"] = "Granted"
+
+        verdict = check_system([reload_with_edit(minimal_run, skip_servicing)])
+        completion = len(minimal_run) - 1
+        assert minimal_run.steps[completion].rule is RuleId.R4A_NOTIFY_ALL_RETURNED
+        assert [(v.property_id, v.transition_index) for v in verdict.violations] == [
+            (P_STATE_MONOTONICITY, completion)
+        ]
+        assert "Granted -> Completed" in verdict.violations[0].witness
+
     def test_mixed_initial_configurations_rejected(self, minimal_run, infeasible_run):
         with pytest.raises(ValueError):
             check_system([minimal_run, infeasible_run])
@@ -192,7 +225,12 @@ class TestService:
             assert check_service(traces).passed
         assert check_service([infeasible_run]).passed
 
-    def test_double_reply_breaks_dichotomy(self, minimal_run):
+    @staticmethod
+    def add_denial(minimal_run, *, emitted, received):
+        """The minimal run with a denied reply added after the completion to
+        the last transition's emitted messages, its client's received
+        replies, or both."""
+
         def duplicate_reply(records):
             last = records[-1]
             assert last["record"] == "transition"
@@ -200,12 +238,30 @@ class TestService:
             denied = copy.deepcopy(completed)
             denied["kind"] = "deniedReply"
             del denied["params"]
-            last["emitted"].append(denied)
+            if emitted:
+                last["emitted"].append(denied)
+            if received:
+                client = next(c for c in last["changed"] if c["address"] == completed["receiver"])
+                client["after"]["received"].append(denied)
 
-        corrupted = reload_with_edit(minimal_run, duplicate_reply)
+        return reload_with_edit(minimal_run, duplicate_reply)
+
+    def test_double_reply_breaks_dichotomy(self, minimal_run):
+        corrupted = self.add_denial(minimal_run, emitted=True, received=True)
         verdict = check_service([corrupted])
         assert not verdict.passed
         assert P_REPLY_DICHOTOMY in properties(verdict)
+
+    def test_dichotomy_reads_what_the_client_received(self, minimal_run):
+        received_only = self.add_denial(minimal_run, emitted=False, received=True)
+        assert P_REPLY_DICHOTOMY in properties(check_service([received_only]))
+        # A reply that is emitted but never received breaks replay, not the
+        # dichotomy: the client saw one acceptance.
+        emitted_only = self.add_denial(minimal_run, emitted=True, received=False)
+        verdict = check_pyramid([emitted_only])
+        assert P_RULE_REPLAY in properties(verdict.behavior)
+        assert verdict.first_failed == "behavior"
+        assert verdict.service.passed
 
     def test_unjustified_denial_is_flagged(self, minimal_one):
         trace = engine.run(
@@ -258,6 +314,27 @@ class TestDenialOracle:
         assert _oracle_feasible(budget, ontologies, registry) == support.oracle_any_feasible(
             budget, slots
         )
+
+    def test_twenty_slots_of_fifty_decide_at_the_minimum_cost(self):
+        """50**20 combinations are far too many to enumerate; the decision
+        must turn exactly at the least total cost within the time bound."""
+        candidates = [
+            CandidateService(
+                f"o{o}c{c}", f"O{o}", QoSSpec((o * 37 + c * 11) % 500 + 1, (o * 7 + c * 13) % 97 + 1)
+            )
+            for o in range(20)
+            for c in range(50)
+        ]
+        registry = Registry.from_candidates(candidates)
+        ontologies = [f"O{o}" for o in range(20)]
+        bound = 450  # cuts some candidates, the cheapest of some slots among them
+        least = sum(
+            min(c.qos.cost_cents for c in registry.query(o) if c.qos.response_time_ms <= bound)
+            for o in ontologies
+        )
+        assert least > sum(min(c.qos.cost_cents for c in registry.query(o)) for o in ontologies)
+        assert not _oracle_feasible(QoSSpec(bound, least - 1), ontologies, registry)
+        assert _oracle_feasible(QoSSpec(bound, least), ontologies, registry)
 
 
 class TestPyramid:

@@ -178,7 +178,7 @@ class TestStepErrors:
         trace = run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
         for transition in trace.steps:
             pool = transition.source.undelivered
-            ready = engine.deliverable(transition.source)
+            ready = transition.source.heads
             for message in pool:
                 if message not in ready:
                     with pytest.raises(NotDeliverableError):
@@ -247,7 +247,7 @@ class TestRuleDeterminism:
         for traces in explored_corpora.sets.values():
             for trace in traces:
                 for config in trace.configurations():
-                    for message in engine.deliverable(config):
+                    for message in config.heads:
                         assert rule_for(config, message) in KIND_RULES[message.kind]
                 for transition in trace.steps:
                     assert transition.rule in KIND_RULES[transition.message.kind]

@@ -1,9 +1,10 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qosorch import engine
 from qosorch.model import (
     ACTIVITY_SUCCESSORS,
     ActivityState,
@@ -35,6 +36,8 @@ from qosorch.model import (
     instance_state_can_follow,
     message_schema_error,
     params_dict,
+    resolvable_addresses,
+    resolves,
     Role,
     service_address,
     SS_ADDRESS,
@@ -198,6 +201,40 @@ class TestAddresses:
         assert address_aa_name(instance_address("c1")) is None
         for prefix in ("ca", "wsoi", "aa", "ws"):
             assert address_client_id(prefix) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["minimal_one", "pair_one", "bookstore_feasible"]),
+        seed=st.integers(0, 20),
+        prefix=st.integers(0, 60),
+    )
+    def test_resolves_is_membership_in_the_actors_resolvable_addresses(
+        self, request, name, seed, prefix
+    ):
+        fixture_set = request.getfixturevalue(name)
+        trace = engine.run(fixture_set.workflow, fixture_set.registry, fixture_set.requests, seed)
+        config = trace.configurations()[min(prefix, len(trace))]
+        resolvable = {
+            resolved
+            for address, snapshot in config.actors
+            for resolved in resolvable_addresses(address, snapshot)
+        }
+        # Pool and actor addresses, bare prefixes, foreign client ids, client
+        # ids that contain ':', and activity and service addresses whether
+        # bound or not.
+        candidates = {address for address, _ in config.actors}
+        for message in config.undelivered:
+            candidates |= {message.sender, message.receiver}
+        candidates |= {"aa", "ws", "ca", "wsoi", "aa:", "bogus:c1"}
+        client_ids = {address_client_id(address) for address in candidates} - {None}
+        names = fixture_set.workflow.activity_names()
+        for client_id in client_ids | {"zz"} | {f"{cid}:{n}" for cid in client_ids for n in names}:
+            candidates |= {client_address(client_id), instance_address(client_id)}
+            for aa_name in names:
+                candidates.add(activity_address(client_id, aa_name))
+                candidates.add(service_address(client_id, aa_name))
+        for address in candidates:
+            assert resolves(config, address) == (address in resolvable), address
 
 
 def sample_message(kind: MessageKind) -> Message:
