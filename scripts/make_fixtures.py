@@ -126,6 +126,10 @@ def main() -> None:
         [request("c1", "OrderDesk", 5, 1), request("c2", "OrderDesk", 5, 1)],
         FIXTURES / "pair_requests_two_denied.jsonl",
     )
+    dump_requests(
+        [request("c1", "OrderDesk", 60, 10, {"sku": "A-100"}), request("c2", "OrderDesk", 5, 1)],
+        FIXTURES / "pair_requests_mixed.jsonl",
+    )
     print(f"fixtures written to {FIXTURES}")
 
 

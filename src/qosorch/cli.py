@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import conformance, engine, formats
@@ -74,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-traces",
         type=int,
         default=engine.DEFAULT_MAX_TRACES,
-        help=f"total trace bound (default {engine.DEFAULT_MAX_TRACES})",
+        help="bound on the maximal traces listed, which happens only for --trace-out "
+        f"or to report violations (default {engine.DEFAULT_MAX_TRACES})",
     )
 
     check_p = sub.add_parser("check", help="replay and check a written trace file")
@@ -144,21 +146,19 @@ def cmd_explore(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        traces = engine.explore(
-            workflow,
-            registry,
-            requests,
-            args.max_transitions,
-            max_traces=args.max_traces,
-        )
+        graph = engine.explore_graph(workflow, registry, requests, args.max_transitions)
+        # Paths are listed only to write them or to place violations, and
+        # --max-traces bounds that list.
+        graph = replace(graph, max_traces=args.max_traces)
+        traces = graph.traces() if args.trace_out else None
+        verdict = conformance.check_pyramid(graph)
     except engine.StateSpaceLimitError as exc:
         print(f"state-space limit: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (engine.EngineError, ValueError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    verdict = conformance.check_pyramid(traces)
-    print(f"traces: {len(traces)}")
+    print(f"traces: {graph.paths}")
     for layer, layer_verdict in (
         ("behavior", verdict.behavior),
         ("system", verdict.system),

@@ -19,7 +19,10 @@ Every check is a fact of one transition, the initial configuration counting
 as a change from the empty one, or of one final configuration together with
 the shared initial one.  So each fault is reported once, where it first
 appears or at the end, and each fact is computed once however many traces
-share its object.  Checkers re-derive everything from the configurations
+share its object.  A checker takes a trace set or a configuration graph
+from ``engine.explore_graph``, which stands for its maximal paths: the facts
+then come from its edges and terminal nodes, and the paths are listed only
+to place violations.  Checkers re-derive everything from the configurations
 themselves; they never trust engine annotations.  The selection oracle here
 is intentionally a separate implementation from the selector the engine
 uses.
@@ -121,6 +124,10 @@ class PyramidVerdict(Verdict):
 
 _EMPTY = Configuration(actors=())
 
+# What the checkers take: a trace set, or a configuration graph standing for
+# the set of its maximal paths.
+Checked = Sequence[Trace] | engine_mod.ConfigurationGraph
+
 
 def _transitions(trace: Trace):
     """The initial configuration at index None, then each (index, step)."""
@@ -140,24 +147,35 @@ def _change(place):
     return _EMPTY, place, None
 
 
-def _stamp(traces: Sequence[Trace], *judges) -> Verdict:
-    """The violations of each (places, fact) judge over a trace set.
+def _distinct(checked: Checked, places):
+    """The distinct objects places yields over the traces of a trace set or
+    the paths of a graph: a graph's initial configuration and edges, or its
+    terminal nodes."""
+    if not isinstance(checked, engine_mod.ConfigurationGraph):
+        return {id(place): place for trace in checked for _, place in places(trace)}.values()
+    if places is _final:
+        return checked.terminals
+    return (checked.initial, *(edge for out in checked.edges.values() for edge in out))
+
+
+def _stamp(checked: Checked, *judges) -> Verdict:
+    """The violations of each (places, fact) judge over a trace set or the
+    paths of a graph.
 
     places(trace) yields (index, object) pairs and fact(object) gives notes:
     (property, witness) at that index, or (property, witness, message) at
     the first transition of the trace that emits the message, if any.  A
     fact is computed once per distinct object, keyed by id, which no other
-    object can take while the traces keep every one alive; the notes are
-    stamped at each place only when some fact has one.
+    object can take while the traces or the graph keep every one alive; the
+    notes are stamped at each place, listing the paths of a graph, only when
+    some fact has one.
     """
-    memos: list[dict[int, list]] = [{} for _ in judges]
-    for (places, fact), memo in zip(judges, memos):
-        for trace in traces:
-            for _, place in places(trace):
-                if id(place) not in memo:
-                    memo[id(place)] = fact(place)
+    memos = [
+        {id(place): fact(place) for place in _distinct(checked, places)} for places, fact in judges
+    ]
     if not any(notes for memo in memos for notes in memo.values()):
         return Verdict.from_violations(())
+    traces = checked.traces() if isinstance(checked, engine_mod.ConfigurationGraph) else checked
 
     def emitted_at(trace: Trace, message: Message) -> int | None:
         return next((i for i, t in enumerate(trace.steps) if message in t.emitted), None)
@@ -207,6 +225,25 @@ def _replay_selector(emitted: Sequence[Message]):
     return selector
 
 
+def _may_lose(before, after) -> bool:
+    """Whether replacing a snapshot can take away an address it resolved:
+    only removing the actor, or an instance losing an activity or a bound
+    service, can (see :func:`resolvable_addresses`)."""
+    if after is None:
+        return True
+    if not isinstance(before, WsoInstance):
+        return False
+    if not isinstance(after, WsoInstance):
+        return True
+    if after.activities is before.activities:
+        return False
+    kept = {aa.aa_name: aa.ws.bound for aa in after.activities}
+    return any(
+        aa.aa_name not in kept or (aa.ws.bound and not kept[aa.aa_name])
+        for aa in before.activities
+    )
+
+
 def _behavior_notes(place) -> list[tuple[str, str]]:
     """(property, witness) for the snapshots and messages a transition
     introduces, for the pending addresses it leaves unresolvable, and for a
@@ -215,7 +252,7 @@ def _behavior_notes(place) -> list[tuple[str, str]]:
     notes: list[tuple[str, str]] = []
     lost: set[str] = set()  # addresses resolvable in the source only
     for address, before, after in source.changes(target):
-        if before is not None:
+        if before is not None and _may_lose(before, after):
             kept = () if after is None else resolvable_addresses(address, after)
             lost.update(a for a in resolvable_addresses(address, before) if a not in kept)
         if after is None:
@@ -287,25 +324,27 @@ def _replay_notes(transition: Transition) -> list[tuple[str, str]]:
     return notes
 
 
-def check_behavior(traces: Sequence[Trace]) -> Verdict:
-    """Check a trace set against the transition rules by replaying every step.
+def check_behavior(checked: Checked) -> Verdict:
+    """Check traces against the transition rules by replaying every step.
 
     Each snapshot and message is checked where it first appears, and each
     pending address where it first fails to resolve.  The selection decision
     itself is taken as recorded (the selector is free to grant or deny at
     this layer); everything downstream of the decision must be reproducible.
     """
-    return _stamp(traces, (_transitions, _behavior_notes))
+    return _stamp(checked, (_transitions, _behavior_notes))
 
 
 # ---------------------------------------------------------------------------
 # System layer
 
-def _shared_initial(traces: Sequence[Trace]) -> Configuration:
-    """The initial configuration every trace starts from; the empty one for
-    no traces."""
-    first = traces[0].initial if traces else _EMPTY
-    if any(trace.initial != first for trace in traces):
+def _shared_initial(checked: Checked) -> Configuration:
+    """The initial configuration every trace or path starts from; the empty
+    one for no traces."""
+    if isinstance(checked, engine_mod.ConfigurationGraph):
+        return checked.initial
+    first = checked[0].initial if checked else _EMPTY
+    if any(trace.initial != first for trace in checked):
         raise ValueError("trace sets must share one initial configuration")
     return first
 
@@ -435,7 +474,7 @@ def _progress_notes(final: Configuration, seeded) -> list[tuple[str, str]]:
     return notes
 
 
-def check_system(traces: Sequence[Trace]) -> Verdict:
+def check_system(checked: Checked) -> Verdict:
     """Check instance-lifecycle and binding-state constraints over a trace set.
 
     All traces must start from the same initial configuration.  Every fact
@@ -449,9 +488,9 @@ def check_system(traces: Sequence[Trace]) -> Verdict:
     fault reported went through Granted and Servicing, and one that ends
     Granted or Servicing was granted and never completed.
     """
-    seeded = _seeded_requests(_shared_initial(traces))
+    seeded = _seeded_requests(_shared_initial(checked))
     return _stamp(
-        traces,
+        checked,
         (_transitions, lambda place: _lifecycle_notes(place, seeded)),
         (_final, lambda final: _progress_notes(final, seeded)),
     )
@@ -566,7 +605,7 @@ def _service_notes(final: Configuration, initial: Configuration, feasible: dict)
     return notes
 
 
-def check_service(traces: Sequence[Trace]) -> Verdict:
+def check_service(checked: Checked) -> Verdict:
     """Check the acceptance/rejection dichotomy and its QoS obligations.
 
     Every seeded client must, in every final configuration, have received
@@ -579,23 +618,23 @@ def check_service(traces: Sequence[Trace]) -> Verdict:
     transition that emitted that reply.  The traces share one initial
     configuration, so the oracle runs at most once per seeded request.
     """
-    initial = _shared_initial(traces)
+    initial = _shared_initial(checked)
     feasible: dict[int, bool] = {}  # seeded position -> oracle verdict
-    return _stamp(traces, (_final, lambda final: _service_notes(final, initial, feasible)))
+    return _stamp(checked, (_final, lambda final: _service_notes(final, initial, feasible)))
 
 
 # ---------------------------------------------------------------------------
 # Pyramid
 
-def check_pyramid(traces: Sequence[Trace]) -> PyramidVerdict:
+def check_pyramid(checked: Checked) -> PyramidVerdict:
     """Run all three layers and report whether the refinement chain holds.
 
     A lower layer passing while a higher one fails is itself reported: it
     witnesses that the trace set breaks one of the refinement implications.
     """
-    behavior = check_behavior(traces)
-    system = check_system(traces)
-    service = check_service(traces)
+    behavior = check_behavior(checked)
+    system = check_system(checked)
+    service = check_service(checked)
 
     chain: list[Violation] = []
     if behavior.passed and not system.passed:

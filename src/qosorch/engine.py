@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .model import (
@@ -528,17 +528,105 @@ def run(
     return Trace(initial=initial, steps=steps)
 
 
-class _Node:
-    """One configuration of the graph :func:`explore` builds: its schedulable
-    messages and, filled in as the search first takes each, the transition it
-    fires and the node of its target."""
+@dataclass(frozen=True, eq=False)
+class ConfigurationGraph:
+    """The interned configurations reachable from an initial one.
 
-    __slots__ = ("config", "options", "edges")
+    ``edges`` maps every node to its out-edges in ``heads`` order, none for a
+    terminal node; each edge's target is the interned node, so every path
+    through a node shares its object and its transitions.  ``terminals``
+    lists the terminal nodes in the order the search reached them, and
+    ``paths`` counts the maximal paths from ``initial``.  ``max_traces``, if
+    set, bounds the paths :meth:`traces` lists.
+    """
 
-    def __init__(self, config: Configuration) -> None:
-        self.config = config
-        self.options = config.heads
-        self.edges: list[tuple[Transition, _Node] | None] = [None] * len(self.options)
+    initial: Configuration
+    edges: dict[Configuration, tuple[Transition, ...]]
+    terminals: tuple[Configuration, ...]
+    paths: int
+    max_traces: int | None = None
+
+    def traces(self) -> tuple[Trace, ...]:
+        """Every maximal path as a trace, depth first in ``heads`` order;
+        more than max_traces of them raises StateSpaceLimitError before
+        any is listed."""
+        if self.max_traces is not None and self.paths > self.max_traces:
+            raise StateSpaceLimitError(f"more than {self.max_traces} maximal traces")
+        if not self.edges[self.initial]:
+            return (Trace(initial=self.initial),)
+        traces: list[Trace] = []
+        prefix: list[Transition] = []  # the path to the node whose out-edges pending[-1] yields
+        pending = [iter(self.edges[self.initial])]
+        while pending:
+            transition = next(pending[-1], None)
+            if transition is None:
+                pending.pop()
+                if prefix:
+                    prefix.pop()
+            elif self.edges[transition.target]:
+                prefix.append(transition)
+                pending.append(iter(self.edges[transition.target]))
+            else:
+                traces.append(Trace(initial=self.initial, steps=(*prefix, transition)))
+        return tuple(traces)
+
+
+def explore_graph(
+    workflow: WorkflowDef,
+    registry: Registry,
+    requests: Sequence[WsoRequest],
+    max_transitions: int,
+    *,
+    selector: Selector | None = None,
+) -> ConfigurationGraph:
+    """The configuration graph of every interleaving of enabled messages.
+
+    A depth-first search expands each distinct configuration once, so
+    :func:`step`, a pure function of the configuration and the message (see
+    :data:`Selector`), runs once per distinct edge.  A path longer than
+    max_transitions raises StateSpaceLimitError: on the search's own path,
+    so that a run that never terminates still stops, then on the longest.
+    States only move forward, so the graph is acyclic, and the search
+    finishes nodes in reverse topological order, which counts the paths.
+    """
+    if max_transitions < 1:
+        raise ValueError("max_transitions must be positive")
+    too_long = f"a path exceeded {max_transitions} transitions without terminating"
+    initial = initial_configuration(workflow, registry, requests)
+    nodes = {initial: initial}
+    edges: dict[Configuration, tuple[Transition, ...]] = {}
+    terminals: list[Configuration] = []
+    below: dict[Configuration, tuple[int, int]] = {}  # finished node -> (paths, longest)
+    stack: list[tuple[Configuration, list[Transition]]] = [(initial, [])]
+    while stack:
+        config, out = stack[-1]
+        if len(out) < len(config.heads):
+            transition = step(config, config.heads[len(out)], selector=selector)
+            target = nodes.get(transition.target)
+            if target is None:
+                target = nodes[transition.target] = transition.target
+                if len(stack) >= max_transitions and target.heads:
+                    raise StateSpaceLimitError(too_long)
+                stack.append((target, []))
+            elif target is not transition.target:
+                transition = replace(transition, target=target)
+            out.append(transition)
+            continue
+        stack.pop()
+        edges[config] = tuple(out)
+        if not out:
+            _check_terminal(config)
+            terminals.append(config)
+            below[config] = (1, 0)
+            continue
+        counts = [below.get(transition.target) for transition in out]
+        if None in counts:  # an edge back to a node on the stack: a cycle
+            raise StateSpaceLimitError(too_long)
+        below[config] = (sum(c[0] for c in counts), 1 + max(c[1] for c in counts))
+    paths, longest = below[initial]
+    if longest > max_transitions:
+        raise StateSpaceLimitError(too_long)
+    return ConfigurationGraph(initial, edges, tuple(terminals), paths)
 
 
 def explore(
@@ -550,74 +638,10 @@ def explore(
     max_traces: int = DEFAULT_MAX_TRACES,
     selector: Selector | None = None,
 ) -> tuple[Trace, ...]:
-    """All maximal traces reachable by any interleaving of enabled messages,
-    in deterministic order.
-
-    The search branches on distinct deliverable messages, so no two traces
-    share a label sequence.  Exceeding max_transitions on any path, or
-    max_traces overall, raises StateSpaceLimitError.
-
-    The configuration graph is built lazily as the depth-first search
-    enumerates paths.  Configurations are interned, so every path reaching
-    one shares its object, its schedulable messages and its outgoing
-    transitions: :func:`step` runs once per distinct (configuration, message)
-    edge, and the returned traces share :class:`Transition` objects.  This is
-    exact because step is a pure function of the configuration and the
-    message: the rules read nothing else, and the selector is pure (see
-    :data:`Selector`).
-    """
-    if max_transitions < 1:
-        raise ValueError("max_transitions must be positive")
-    initial = initial_configuration(workflow, registry, requests)
-    traces: list[Trace] = []
-    nodes: dict[Configuration, _Node] = {}
-
-    def node(config: Configuration) -> _Node:
-        found = nodes.get(config)
-        if found is None:
-            found = nodes[config] = _Node(config)
-        return found
-
-    def collect(prefix: list[Transition]) -> None:
-        trace = Trace(initial=initial, steps=tuple(prefix))
-        _check_terminal(trace.final)
-        traces.append(trace)
-        if len(traces) > max_traces:
-            raise StateSpaceLimitError(f"more than {max_traces} maximal traces")
-
-    # Depth-first search with an explicit stack of (node, next option);
-    # prefix mirrors the path to the node on top of the stack.
-    prefix: list[Transition] = []
-    root = node(initial)
-    if not root.options:
-        collect(prefix)
-        return tuple(traces)
-    stack: list[list] = [[root, 0]]
-    while stack:
-        entry = stack[-1]
-        current, position = entry
-        if position == len(current.options):
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        entry[1] = position + 1
-        edge = current.edges[position]
-        if edge is None:
-            transition = step(current.config, current.options[position], selector=selector)
-            child = node(transition.target)
-            if child.config is not transition.target:
-                transition = replace(transition, target=child.config)
-            edge = current.edges[position] = (transition, child)
-        transition, child = edge
-        prefix.append(transition)
-        if not child.options:
-            collect(prefix)
-            prefix.pop()
-        elif len(prefix) >= max_transitions:
-            raise StateSpaceLimitError(
-                f"a path exceeded {max_transitions} transitions without terminating"
-            )
-        else:
-            stack.append([child, 0])
-    return tuple(traces)
+    """All maximal traces reachable by any interleaving of enabled messages:
+    the paths of :func:`explore_graph`, so no two share a label sequence and
+    traces through one configuration share its transitions.  Exceeding
+    max_transitions on any path, or max_traces overall, raises
+    StateSpaceLimitError; the traces are counted before any is listed."""
+    graph = explore_graph(workflow, registry, requests, max_transitions, selector=selector)
+    return replace(graph, max_traces=max_traces).traces()

@@ -432,7 +432,13 @@ def _apply_transition_record(config: Configuration, record: dict) -> Transition:
 
 def traces_from_records(records: Iterable[dict]) -> list[Trace]:
     """Reassemble the traces a sequence of trace and transition records holds."""
-    return _reassemble(((None, record) for record in records), None)
+
+    def numbered(record) -> tuple[None, dict]:
+        if not isinstance(record, dict) or "record" not in record:
+            raise FormatError("expected a record object")
+        return None, record
+
+    return _reassemble(map(numbered, records), None)
 
 
 def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | None) -> list[Trace]:

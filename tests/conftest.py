@@ -59,6 +59,11 @@ def pair_two_denied() -> FixtureSet:
 
 
 @pytest.fixture(scope="session")
+def pair_mixed() -> FixtureSet:
+    return load_fixture_set("pair", "pair_requests_mixed.jsonl")
+
+
+@pytest.fixture(scope="session")
 def bookstore_feasible() -> FixtureSet:
     return load_fixture_set("bookstore", "bookstore_requests_feasible.jsonl")
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import support
-from qosorch import cli
+from qosorch import cli, engine
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "bookstore_seed0.jsonl"
 GOLDEN_RECORDS = [json.loads(line) for line in GOLDEN_FILE.read_text().splitlines()]
@@ -200,6 +200,44 @@ class TestExplore:
         assert "traces: 3" in captured.out
         for layer in ("behavior", "system", "service"):
             assert f"{layer}: pass" in captured.out
+
+    @staticmethod
+    def args(fixtures_dir, name, requests_file, *extra):
+        return [
+            "explore",
+            "--workflow", str(fixtures_dir / f"{name}_workflow.jsonl"),
+            "--registry", str(fixtures_dir / f"{name}_registry.jsonl"),
+            "--requests", str(fixtures_dir / requests_file),
+            *extra,
+        ]
+
+    def test_trace_bound_applies_only_to_listed_traces(self, fixtures_dir, tmp_path, capsys):
+        argv = self.args(fixtures_dir, "pair", "pair_requests_one.jsonl", "--max-traces", "100")
+        assert invoke(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "traces: 2268", "behavior: pass", "system: pass", "service: pass"
+        ]
+        out = tmp_path / "traces.jsonl"
+        assert invoke([*argv, "--trace-out", str(out)]) == cli.EXIT_BOUND
+        assert "more than 100 maximal traces" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixed_fixture_passes_without_listing_its_traces(self, fixtures_dir, capsys):
+        assert invoke(self.args(fixtures_dir, "pair", "pair_requests_mixed.jsonl")) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "traces: 1270080", "behavior: pass", "system: pass", "service: pass"
+        ]
+
+    def test_violations_over_the_trace_bound_exit_three(self, fixtures_dir, monkeypatch, capsys):
+        monkeypatch.setattr(engine, "default_selector", support.always_deny_selector)
+        argv = self.args(fixtures_dir, "minimal", "minimal_requests_two.jsonl")
+        assert invoke([*argv, "--max-traces", "20"]) == cli.EXIT_VIOLATION
+        captured = capsys.readouterr()
+        assert "traces: 20" in captured.out and "service: fail" in captured.out
+        assert captured.err.count("violation denial-oracle") == 20
+        assert invoke([*argv, "--max-traces", "19"]) == cli.EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than 19 maximal traces" in captured.err
 
     def test_tight_bound_exits_three(self, bookstore_args, capsys):
         code = invoke([

@@ -29,6 +29,15 @@ from qosorch.model import Configuration, InstanceState, QoSSpec, RuleId, Trace, 
 from qosorch.registry import Registry
 from qosorch.selection import CandidateService
 
+from test_engine import EXPLORED_FIXTURES
+
+
+SELECTORS = {
+    "default": None,
+    "always-grant": support.always_grant_selector,
+    "always-deny": support.always_deny_selector,
+}
+
 
 def properties(verdict):
     return {v.property_id for v in verdict.violations}
@@ -151,6 +160,28 @@ class TestBehavior:
         assert {v.transition_index for v in unresolvable} == {removal}
         assert {v.property_id for v in unresolvable} == {P_MESSAGE_VOCABULARY}
         assert any(repr(invoke["receiver"]) in v.witness for v in unresolvable)
+
+    def test_dropped_binding_leaves_its_pending_service_call_unresolvable(self, minimal_run):
+        records = formats.trace_to_records(minimal_run)
+        call = next(r for r in records if r.get("rule") == RuleId.R6_AA_INVOKE.value)
+        invoke_ws = next(m for m in call["emitted"] if m["kind"] == "invokeWs")
+        consume = next(r for r in records if r.get("consumed") == invoke_ws)
+        ack = next(r for r in records if r.get("rule") == RuleId.R3_INVOKE_ACK.value)
+        assert call["index"] < ack["index"] < consume["index"]  # the call is pending at the ack
+
+        def drop_binding(records):
+            change = next(c for c in records[ack["index"] + 1]["changed"]
+                          if c["address"] == instance_address("c1"))
+            for aa in change["after"]["activities"]:
+                aa["ws"] = {"endpoint": None, "advertised_qos": None}
+            del records[ack["index"] + 2:]
+
+        verdict = check_behavior([reload_with_edit(minimal_run, drop_binding)])
+        unresolvable = [v for v in verdict.violations if "unresolvable address" in v.witness]
+        assert [(v.transition_index, v.property_id) for v in unresolvable] == [
+            (ack["index"], P_MESSAGE_VOCABULARY)
+        ]
+        assert repr(invoke_ws["receiver"]) in unresolvable[0].witness
 
     def test_message_to_an_unknown_activity_is_reported_where_it_is_emitted(self, minimal_run):
         records = formats.trace_to_records(minimal_run)
@@ -382,6 +413,27 @@ class TestPyramid:
         assert verdict.first_failed == "behavior"
         # Dichotomy breaks too: the client saw both a denial and a completion.
         assert P_REPLY_DICHOTOMY in properties(verdict.service)
+
+    @pytest.mark.parametrize("selector", sorted(SELECTORS))
+    @pytest.mark.parametrize("name", sorted(EXPLORED_FIXTURES.values()))
+    def test_graph_verdict_is_the_verdict_over_its_paths(self, name, selector, request):
+        fixture_set = request.getfixturevalue(name)
+        args = (fixture_set.workflow, fixture_set.registry, fixture_set.requests, 200)
+        graph = engine.explore_graph(*args, selector=SELECTORS[selector])
+        bounded = dataclasses.replace(graph, max_traces=engine.DEFAULT_MAX_TRACES)
+        if graph.paths > engine.DEFAULT_MAX_TRACES:
+            # Clients granted over budget: the graph is judged, but its
+            # violations would have to be placed on more traces than allowed.
+            with pytest.raises(engine.StateSpaceLimitError, match="maximal traces"):
+                check_pyramid(bounded)
+            return
+        on_paths = check_pyramid(engine.explore(*args, selector=SELECTORS[selector]))
+        on_graph = check_pyramid(bounded)
+        layers = ("behavior", "system", "service")
+        assert [getattr(on_graph, layer).passed for layer in layers] == [
+            getattr(on_paths, layer).passed for layer in layers
+        ]
+        assert on_graph.violations == on_paths.violations
 
     def test_shared_transitions_report_as_if_unshared(self, minimal_two, tmp_path):
         """Explored traces share transitions, and each is checked once; the

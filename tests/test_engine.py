@@ -13,6 +13,7 @@ from qosorch.engine import (
     StateSpaceLimitError,
     enabled,
     explore,
+    explore_graph,
     initial_configuration,
     rule_for,
     run,
@@ -481,6 +482,30 @@ class TestExploreGraph:
         assert len(traces) == 2268
         assert len({c for trace in traces for c in trace.configurations()}) == 67
         assert calls == 147
+
+    @pytest.mark.parametrize(
+        "name, shapes",
+        [
+            ("minimal_one", [(1, True)]),
+            ("minimal_two", [(1, True), (1, False)]),
+            ("pair_one", [(2, True)]),
+            ("pair_two_denied", [(2, False), (2, False)]),
+            ("pair_mixed", [(2, True), (2, False)]),
+        ],
+    )
+    def test_counts_paths_as_the_interleaving_oracle(self, name, shapes, request):
+        fixture_set = request.getfixturevalue(name)
+        graph = explore_graph(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests, max_transitions=200
+        )
+        assert graph.paths == support.count_interleavings(shapes)
+
+    def test_counts_paths_it_does_not_list(self, pair_mixed):
+        args = (pair_mixed.workflow, pair_mixed.registry, pair_mixed.requests)
+        graph = explore_graph(*args, max_transitions=200)
+        assert (graph.paths, len(graph.edges), len(graph.terminals)) == (1_270_080, 268, 1)
+        with pytest.raises(StateSpaceLimitError, match="more than 100000 maximal traces"):
+            explore(*args, max_transitions=200)
 
     def test_bounds_raise_where_the_naive_search_says(self, pair_two_denied):
         args = (pair_two_denied.workflow, pair_two_denied.registry, pair_two_denied.requests)

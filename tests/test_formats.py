@@ -84,6 +84,14 @@ class TestTraceFiles:
         with pytest.raises(formats.FormatError):
             formats.traces_from_records(records)
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_record_without_a_kind_is_a_format_error(self, minimal_one, at):
+        trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
+        records = formats.trace_to_records(trace)
+        del records[at]["record"]
+        with pytest.raises(formats.FormatError, match="expected a record object"):
+            formats.traces_from_records(records)
+
     def test_shared_transitions_write_the_bytes_of_their_records(self, tmp_path, minimal_two):
         traces = engine.explore(
             minimal_two.workflow, minimal_two.registry, minimal_two.requests, max_transitions=50
