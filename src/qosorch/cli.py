@@ -93,6 +93,11 @@ def _load_inputs(args):
             raise RegistryError(
                 f"{args.registry}: no candidate for ontology {ontology!r} of activity {aa_name!r}"
             )
+    # The engine rejects requests that do not fit the workflow or each other.
+    try:
+        engine.initial_configuration(workflow, registry, requests)
+    except ValueError as exc:
+        raise formats.FormatError(f"{args.requests}: {exc}") from exc
     return workflow, registry, requests
 
 
@@ -187,19 +192,23 @@ def cmd_check(args) -> int:
         print("conformant (vacuous)")
         return EXIT_OK
     # Traces sharing an initial configuration are checked together so that
-    # set-level properties see the whole set.
-    groups: list[list] = []
-    for trace in traces:
+    # set-level properties see the whole set; a violation names the trace
+    # by its position in the file, not in its group.
+    groups: list[list[int]] = []
+    for index, trace in enumerate(traces):
         for group in groups:
-            if group[0].initial == trace.initial:
-                group.append(trace)
+            if traces[group[0]].initial == trace.initial:
+                group.append(index)
                 break
         else:
-            groups.append([trace])
+            groups.append([index])
     all_violations = []
     for group in groups:
-        verdict = conformance.check_pyramid(group)
-        all_violations.extend(verdict.violations)
+        verdict = conformance.check_pyramid([traces[index] for index in group])
+        all_violations.extend(
+            replace(violation, trace_index=group[violation.trace_index])
+            for violation in verdict.violations
+        )
     print(f"traces: {len(traces)}")
     if all_violations:
         _print_violations(all_violations)

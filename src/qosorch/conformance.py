@@ -61,7 +61,7 @@ from .model import (
     snapshot_error,
 )
 from .registry import Registry
-from .selection import AllocationResult, CandidateService
+from .selection import AllocationResult
 
 # Property identifiers cited by violations.
 P_STATE_DOMAIN = "state-domain"
@@ -198,7 +198,7 @@ def _replay_selector(emitted: Sequence[Message]):
     """A selector that reproduces the decision recorded in a selection's
     emitted messages."""
 
-    def selector(request, workflow, _registry) -> AllocationResult:
+    def selector(_request, _workflow, _registry) -> AllocationResult:
         if len(emitted) != 1 or emitted[0].kind not in (
             MessageKind.SELECT_REPLY_GRANTED,
             MessageKind.SELECT_REPLY_DENIED,
@@ -207,20 +207,7 @@ def _replay_selector(emitted: Sequence[Message]):
         reply = emitted[0]
         if reply.kind is MessageKind.SELECT_REPLY_DENIED:
             return AllocationResult(granted=False)
-        ontology_of = dict(workflow.activities)
-        per_activity = tuple(
-            (
-                binding.aa_name,
-                CandidateService(
-                    candidate_id=binding.candidate_id,
-                    ontology=ontology_of.get(binding.aa_name, "unknown"),
-                    qos=binding.qos,
-                ),
-                binding.qos,
-            )
-            for binding in (reply.assignment or ())
-        )
-        return AllocationResult(granted=True, per_activity=per_activity)
+        return AllocationResult(granted=True, per_activity=reply.assignment or ())
 
     return selector
 
@@ -507,21 +494,23 @@ def _oracle_feasible(
 
     A combination's response time is its slowest candidate's, so only
     candidates within the time bound can take part: each slot is cut to
-    those.  The total costs reachable by picking from the slots in turn are
-    then kept as a set, capped at the budget, so the work is bounded by the
-    slots times the budget rather than the product of the slots."""
+    those first, and a slot the cut empties decides before anything is
+    combined.  The total costs reachable by picking from the slots in turn
+    then form a set, but a total is dominated by any smaller one, since
+    whatever completes it within the budget completes the smaller too.  So
+    the set is pruned to its least total after each slot, and the work is
+    linear in the candidates."""
     bound = request_qos.response_time_ms
-    reachable = {0}
-    for ontology in ontologies:
-        slot = [c for c in registry.query(ontology) if c.qos.response_time_ms <= bound]
-        costs = {c.qos.cost_cents for c in slot}
-        reachable = {
-            total + cost
-            for total in reachable
-            for cost in costs
-            if total + cost <= request_qos.cost_cents
-        }
-    return bool(reachable)
+    slots = [
+        {c.qos.cost_cents for c in registry.query(ontology) if c.qos.response_time_ms <= bound}
+        for ontology in ontologies
+    ]
+    if not all(slots):
+        return False
+    least = 0
+    for costs in slots:
+        least = min(least + cost for cost in costs)
+    return least <= request_qos.cost_cents
 
 
 _CLIENT_REPLIES = (MessageKind.GRANTED_REPLY, MessageKind.COMPLETED_REPLY, MessageKind.DENIED_REPLY)

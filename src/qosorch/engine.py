@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 from .model import (
     ActivityState,
-    AllocatedBinding,
     ClientRecord,
     Configuration,
     InstanceState,
@@ -40,9 +39,9 @@ from .model import (
     WorkflowDef,
     WsoInstance,
     WsoRequest,
-    activity_address,
     address_aa_name,
     address_role,
+    build_message,
     client_address,
     get_aa,
     get_wsoi,
@@ -50,7 +49,6 @@ from .model import (
     message_schema_error,
     params_dict,
     receiver_role,
-    service_address,
 )
 from .registry import Registry
 from .selection import AllocationResult, map_input_parameters, map_output_parameters, qos_allocate
@@ -210,13 +208,8 @@ def _apply_r1(config: Configuration, message: Message, selector: Selector):
         qos=message.qos,
     )
     instance = WsoInstance.create(request, workflow.activity_names())
-    select = Message(
-        kind=MessageKind.SELECT,
-        sender=instance_address(request.client_id),
-        receiver=SS_ADDRESS,
-        client_id=request.client_id,
-        ontology=request.ontology,
-        qos=request.qos,
+    select = build_message(
+        MessageKind.SELECT, request.client_id, ontology=request.ontology, qos=request.qos
     )
     changed = {instance_address(request.client_id): instance}
     return changed, [select]
@@ -227,40 +220,28 @@ def _apply_r5(config: Configuration, message: Message, selector: Selector):
     if instance is None:
         raise NoRuleError(f"selection requested for unknown client {message.client_id!r}")
     result = selector(instance.request, _manager_workflow(config), _selector_registry(config))
-    receiver = instance_address(message.client_id)
     if result.granted:
-        assignment = tuple(
-            AllocatedBinding(aa_name=aa_name, candidate_id=candidate.candidate_id, qos=qos)
-            for aa_name, candidate, qos in result.per_activity
-        )
-        reply = Message(
-            kind=MessageKind.SELECT_REPLY_GRANTED,
-            sender=SS_ADDRESS,
-            receiver=receiver,
-            client_id=message.client_id,
-            assignment=assignment,
+        reply = build_message(
+            MessageKind.SELECT_REPLY_GRANTED, message.client_id, assignment=result.per_activity
         )
     else:
-        reply = Message(
-            kind=MessageKind.SELECT_REPLY_DENIED,
-            sender=SS_ADDRESS,
-            receiver=receiver,
-            client_id=message.client_id,
-        )
+        reply = build_message(MessageKind.SELECT_REPLY_DENIED, message.client_id)
     return {}, [reply]
+
+
+def _client_reply(kind: MessageKind, instance: WsoInstance, **payload) -> Message:
+    """The reply an instance sends its client, which restates the request's
+    ontology and QoS."""
+    request = instance.request
+    return build_message(
+        kind, request.client_id, ontology=request.ontology, qos=request.qos, **payload
+    )
 
 
 def _apply_r2a(config: Configuration, message: Message, selector: Selector):
     instance = get_wsoi(config, message.client_id)
     denied = replace(instance, state=InstanceState.DENIED, output_parameters=None)
-    reply = Message(
-        kind=MessageKind.DENIED_REPLY,
-        sender=instance_address(message.client_id),
-        receiver=client_address(message.client_id),
-        client_id=message.client_id,
-        ontology=instance.request.ontology,
-        qos=instance.request.qos,
-    )
+    reply = _client_reply(MessageKind.DENIED_REPLY, instance)
     return {instance_address(message.client_id): denied}, [reply]
 
 
@@ -295,25 +276,8 @@ def _apply_r2b(config: Configuration, message: Message, selector: Selector):
         instance, state=InstanceState.GRANTED, activities=activities, output_parameters=None
     )
     cid = message.client_id
-    emitted = [
-        Message(
-            kind=MessageKind.GRANTED_REPLY,
-            sender=instance_address(cid),
-            receiver=client_address(cid),
-            client_id=cid,
-            ontology=instance.request.ontology,
-            qos=instance.request.qos,
-        )
-    ]
-    emitted.extend(
-        Message(
-            kind=MessageKind.INVOKE,
-            sender=instance_address(cid),
-            receiver=activity_address(cid, aa.aa_name),
-            client_id=cid,
-        )
-        for aa in granted.activities
-    )
+    emitted = [_client_reply(MessageKind.GRANTED_REPLY, instance)]
+    emitted.extend(build_message(MessageKind.INVOKE, cid, aa.aa_name) for aa in granted.activities)
     return {instance_address(cid): granted}, emitted
 
 
@@ -329,15 +293,7 @@ def _apply_r4a(config: Configuration, message: Message, selector: Selector):
         {aa.aa_name: aa.output_parameters for aa in instance.activities}
     )
     completed = replace(instance, state=InstanceState.COMPLETED, output_parameters=outputs)
-    reply = Message(
-        kind=MessageKind.COMPLETED_REPLY,
-        sender=instance_address(message.client_id),
-        receiver=client_address(message.client_id),
-        client_id=message.client_id,
-        ontology=instance.request.ontology,
-        qos=instance.request.qos,
-        params=outputs,
-    )
+    reply = _client_reply(MessageKind.COMPLETED_REPLY, instance, params=outputs)
     return {instance_address(message.client_id): completed}, [reply]
 
 
@@ -350,18 +306,9 @@ def _apply_r6(config: Configuration, message: Message, selector: Selector):
     aa = get_aa(instance, address_aa_name(message.receiver))
     invoking = replace(aa, output_parameters=None, state=ActivityState.INVOKING)
     cid = message.client_id
-    ack = Message(
-        kind=MessageKind.INVOKE_ACK,
-        sender=activity_address(cid, aa.aa_name),
-        receiver=instance_address(cid),
-        client_id=cid,
-    )
-    invoke_ws = Message(
-        kind=MessageKind.INVOKE_WS,
-        sender=activity_address(cid, aa.aa_name),
-        receiver=service_address(cid, aa.aa_name),
-        client_id=cid,
-        params=aa.input_parameters or (),
+    ack = build_message(MessageKind.INVOKE_ACK, cid, aa.aa_name)
+    invoke_ws = build_message(
+        MessageKind.INVOKE_WS, cid, aa.aa_name, params=aa.input_parameters or ()
     )
     return {instance_address(cid): instance.with_activity(invoking)}, [ack, invoke_ws]
 
@@ -371,13 +318,8 @@ def _apply_r7(config: Configuration, message: Message, selector: Selector):
     aa = get_aa(instance, address_aa_name(message.receiver))
     returned = replace(aa, output_parameters=message.params, state=ActivityState.RETURNED)
     cid = message.client_id
-    notify = Message(
-        kind=MessageKind.NOTIFY,
-        sender=activity_address(cid, aa.aa_name),
-        receiver=instance_address(cid),
-        client_id=cid,
-        aa_name=aa.aa_name,
-        aa_state=ActivityState.RETURNED,
+    notify = build_message(
+        MessageKind.NOTIFY, cid, aa.aa_name, aa_name=aa.aa_name, aa_state=ActivityState.RETURNED
     )
     return {instance_address(cid): instance.with_activity(returned)}, [notify]
 
@@ -390,13 +332,7 @@ def _apply_r8(config: Configuration, message: Message, selector: Selector):
     if not aa.ws.bound:
         raise NoRuleError(f"activity {aa.aa_name!r} has no bound service")
     outputs = (("result", f"{aa.ws.endpoint}:{_ws_output_digest(message.params)}"),)
-    reply = Message(
-        kind=MessageKind.INVOKE_REPLY,
-        sender=service_address(message.client_id, aa.aa_name),
-        receiver=activity_address(message.client_id, aa.aa_name),
-        client_id=message.client_id,
-        params=outputs,
-    )
+    reply = build_message(MessageKind.INVOKE_REPLY, message.client_id, aa.aa_name, params=outputs)
     return {}, [reply]
 
 
@@ -479,11 +415,9 @@ def initial_configuration(
         for request in requests
     )
     pool = tuple(
-        Message(
-            kind=MessageKind.WSO_REQUEST,
-            sender=client_address(request.client_id),
-            receiver=WSOIM_ADDRESS,
-            client_id=request.client_id,
+        build_message(
+            MessageKind.WSO_REQUEST,
+            request.client_id,
             ontology=request.ontology,
             qos=request.qos,
             params=request.input_parameters,

@@ -69,6 +69,23 @@ def _read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
+def _load_records(path: str | Path, kind: str, parse) -> list:
+    """Each record of a file that holds only records of one kind, parsed;
+    a record of another kind, or one that does not parse, is an error that
+    names the file and the line."""
+    parsed = []
+    for line_no, record in _read_records(path):
+        if record["record"] != kind:
+            raise FormatError(
+                f"{path}:{line_no}: expected a {kind} record, got {record['record']!r}"
+            )
+        try:
+            parsed.append(parse(record))
+        except FormatError as exc:
+            raise FormatError(f"{path}:{line_no}: {exc}") from exc
+    return parsed
+
+
 # ---------------------------------------------------------------------------
 # Scalars
 
@@ -184,10 +201,10 @@ def workflow_from_record(record: dict) -> WorkflowDef:
 
 
 def load_workflow(path: str | Path) -> WorkflowDef:
-    records = [r for _, r in _read_records(path) if r["record"] == "workflow"]
-    if len(records) != 1:
-        raise FormatError(f"{path}: expected exactly one workflow record, got {len(records)}")
-    return workflow_from_record(records[0])
+    workflows = _load_records(path, "workflow", workflow_from_record)
+    if len(workflows) != 1:
+        raise FormatError(f"{path}: expected exactly one workflow record, got {len(workflows)}")
+    return workflows[0]
 
 
 def dump_workflow(workflow: WorkflowDef, path: str | Path) -> None:
@@ -217,11 +234,7 @@ def request_from_record(record: dict) -> WsoRequest:
 
 
 def load_requests(path: str | Path) -> list[WsoRequest]:
-    return [
-        request_from_record(record)
-        for _, record in _read_records(path)
-        if record["record"] == "request"
-    ]
+    return _load_records(path, "request", request_from_record)
 
 
 def dump_requests(requests: Iterable[WsoRequest], path: str | Path) -> None:

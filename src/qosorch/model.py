@@ -435,6 +435,33 @@ def receiver_role(kind: MessageKind) -> Role:
     return _MESSAGE_SCHEMA[kind][1]
 
 
+# role -> the address of its actor for (client id, activity name)
+_ROLE_ADDRESS = {
+    Role.MANAGER: lambda client_id, activity: WSOIM_ADDRESS,
+    Role.SELECTOR: lambda client_id, activity: SS_ADDRESS,
+    Role.CLIENT: lambda client_id, activity: client_address(client_id),
+    Role.INSTANCE: lambda client_id, activity: instance_address(client_id),
+    Role.ACTIVITY: activity_address,
+    Role.SERVICE: service_address,
+}
+
+
+def build_message(
+    kind: MessageKind, client_id: str, activity: str | None = None, **payload
+) -> Message:
+    """A message of this kind for client_id, sent and received by the
+    actors of its kind's sender and receiver roles; activity names the
+    activity whose activity or service actor is one of them."""
+    sender, receiver, _ = _MESSAGE_SCHEMA[kind]
+    return Message(
+        kind=kind,
+        sender=_ROLE_ADDRESS[sender](client_id, activity),
+        receiver=_ROLE_ADDRESS[receiver](client_id, activity),
+        client_id=client_id,
+        **payload,
+    )
+
+
 def message_schema_error(message: Message) -> str | None:
     """Check one message against the vocabulary; return a description or None.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .model import Params, QoSSpec, freeze_params, params_dict
+from .model import AllocatedBinding, Params, QoSSpec, freeze_params, params_dict
 
 if TYPE_CHECKING:
     from .registry import Registry
@@ -46,10 +46,11 @@ class CandidateService:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of a selection: granted with per-activity picks, or denied."""
+    """Outcome of a selection: granted with per-activity picks, the bindings
+    the granted reply carries, or denied."""
 
     granted: bool
-    per_activity: tuple[tuple[str, CandidateService, QoSSpec], ...] | None = None
+    per_activity: tuple[AllocatedBinding, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.granted and self.per_activity is None:
@@ -62,7 +63,7 @@ class AllocationResult:
     def aggregate(self) -> QoSSpec:
         if not self.granted or self.per_activity is None:
             raise ValueError("denied allocations have no aggregate")
-        return aggregate_qos([qos for _, _, qos in self.per_activity])
+        return aggregate_qos([binding.qos for binding in self.per_activity])
 
 
 def aggregate_qos(bindings: Sequence[QoSSpec]) -> QoSSpec:
@@ -120,7 +121,7 @@ def qos_allocate(
             (c for c in slot if c.qos.response_time_ms <= worst),
             key=lambda c: c.candidate_id,
         )
-        per_activity.append((aa_name, candidate, candidate.qos))
+        per_activity.append(AllocatedBinding(aa_name, candidate.candidate_id, candidate.qos))
     return AllocationResult(granted=True, per_activity=tuple(per_activity))
 
 

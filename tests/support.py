@@ -138,7 +138,7 @@ def always_grant_selector(request, workflow, registry) -> AllocationResult:
     per_activity = []
     for aa_name, ontology in workflow.activities:
         candidate = registry.query(ontology)[0]
-        per_activity.append((aa_name, candidate, candidate.qos))
+        per_activity.append(AllocatedBinding(aa_name, candidate.candidate_id, candidate.qos))
     return AllocationResult(granted=True, per_activity=tuple(per_activity))
 
 

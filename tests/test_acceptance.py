@@ -334,3 +334,38 @@ def test_criterion_8_golden_trace(fixtures_dir, golden_dir, tmp_path, capsys):
     assert byte_exact
     assert structure_ok
     assert per_activity_ok
+
+
+def test_criterion_8_denied_golden_trace(fixtures_dir, golden_dir, tmp_path, capsys):
+    """The frozen bytes of a denied run: the selector's denial and the
+    instance's reply to its client."""
+    started = time.perf_counter()
+    out = tmp_path / "bookstore_infeasible_seed0.jsonl"
+    code = cli.main([
+        "run",
+        "--workflow", str(fixtures_dir / "bookstore_workflow.jsonl"),
+        "--registry", str(fixtures_dir / "bookstore_registry.jsonl"),
+        "--requests", str(fixtures_dir / "bookstore_requests_infeasible.jsonl"),
+        "--seed", "0",
+        "--trace-out", str(out),
+    ])
+    capsys.readouterr()
+    golden_path = golden_dir / "bookstore_infeasible_seed0.jsonl"
+    byte_exact = code == cli.EXIT_OK and out.read_bytes() == golden_path.read_bytes()
+    trace = formats.read_traces(golden_path)[0]
+    emitted = [[m.kind for m in t.emitted] for t in trace.steps]
+    structure_ok = [t.rule for t in trace.steps] == [
+        RuleId.R1_WSOIM_CREATE,
+        RuleId.R5_SS_SELECT,
+        RuleId.R2A_SELECT_DENIED,
+    ] and emitted[1:] == [[MessageKind.SELECT_REPLY_DENIED], [MessageKind.DENIED_REPLY]]
+    elapsed = time.perf_counter() - started
+    report(
+        8,
+        "frozen denied golden trace",
+        byte_exact and structure_ok,
+        elapsed,
+        f"bytes={byte_exact}, structure={structure_ok}",
+    )
+    assert byte_exact
+    assert structure_ok

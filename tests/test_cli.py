@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import support
-from qosorch import cli, engine
+from qosorch import cli, engine, formats
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "bookstore_seed0.jsonl"
 GOLDEN_RECORDS = [json.loads(line) for line in GOLDEN_FILE.read_text().splitlines()]
@@ -239,6 +239,24 @@ class TestExplore:
         captured = capsys.readouterr()
         assert captured.out == "" and "more than 19 maximal traces" in captured.err
 
+    @pytest.mark.parametrize("deny", [False, True])
+    def test_written_traces_check_as_explored(
+        self, deny, fixtures_dir, tmp_path, monkeypatch, capsys
+    ):
+        if deny:
+            monkeypatch.setattr(engine, "default_selector", support.always_deny_selector)
+        out = tmp_path / "explored.jsonl"
+        argv = self.args(
+            fixtures_dir, "minimal", "minimal_requests_one.jsonl", "--trace-out", str(out)
+        )
+        expected = cli.EXIT_VIOLATION if deny else cli.EXIT_OK
+        assert invoke(argv) == expected
+        explored = capsys.readouterr().err
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sum(r["record"] == "violation" for r in records) == (2 if deny else 0)
+        assert invoke(["check", str(out)]) == expected
+        assert capsys.readouterr().err == explored
+
     def test_tight_bound_exits_three(self, bookstore_args, capsys):
         code = invoke([
             "explore",
@@ -249,25 +267,91 @@ class TestExplore:
         assert "state-space limit" in capsys.readouterr().err
 
 
+BOOKSTORE_INPUTS = {
+    "workflow": "bookstore_workflow.jsonl",
+    "registry": "bookstore_registry.jsonl",
+    "requests": "bookstore_requests_feasible.jsonl",
+}
+
+
+def edited_inputs(fixtures_dir, tmp_path, name, edit):
+    """The bookstore input options, with the named file replaced by its
+    fixture lines as `edit` rewrites them; also the replaced file's path."""
+    paths = {key: fixtures_dir / file for key, file in BOOKSTORE_INPUTS.items()}
+    edited = tmp_path / BOOKSTORE_INPUTS[name]
+    lines = edit(paths[name].read_text().splitlines())
+    edited.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    paths[name] = edited
+    return [arg for key, path in paths.items() for arg in (f"--{key}", str(path))], edited
+
+
+# Files that each load but do not fit together: which file the error names,
+# how its fixture lines are edited, and what the error mentions.
+MISFITS = {
+    "registry-without-a-workflow-ontology": (
+        "registry",
+        lambda lines: [line for line in lines if '"Payment"' not in line],
+        ("'Payment'", "'Get Pays'"),
+    ),
+    "duplicated-client-id": ("requests", lambda lines: lines + lines, ("client ids",)),
+    "request-for-another-ontology": (
+        "requests",
+        lambda lines: [line.replace('"BookStore"', '"ToyStore"') for line in lines],
+        ("'ToyStore'", "'BookStore'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
 @pytest.mark.parametrize("command", ["run", "explore"])
-def test_registry_without_a_workflow_ontology_is_an_input_error(
-    command, fixtures_dir, tmp_path, capsys
+def test_inputs_that_do_not_fit_together_are_an_input_error(
+    command, case, fixtures_dir, tmp_path, capsys
 ):
-    registry = tmp_path / "registry.jsonl"
-    lines = (fixtures_dir / "bookstore_registry.jsonl").read_text().splitlines()
-    registry.write_text(
-        "".join(line + "\n" for line in lines if '"Payment"' not in line), encoding="utf-8"
-    )
-    code = invoke([
-        command,
-        "--workflow", str(fixtures_dir / "bookstore_workflow.jsonl"),
-        "--registry", str(registry),
-        "--requests", str(fixtures_dir / "bookstore_requests_feasible.jsonl"),
-    ])
+    name, edit, mentions = MISFITS[case]
+    argv, edited = edited_inputs(fixtures_dir, tmp_path, name, edit)
+    code = invoke([command, *argv])
     err = capsys.readouterr().err
     assert code == cli.EXIT_INPUT
-    assert err.startswith(f"error: {registry}: ")
-    assert "'Payment'" in err and "'Get Pays'" in err
+    assert err.startswith(f"error: {edited}: ")
+    assert all(mention in err for mention in mentions)
+
+
+def _without_qos(line):
+    record = json.loads(line)
+    del record["qos"]
+    return json.dumps(record | {"client_id": "c2"}, sort_keys=True)
+
+
+# Records a workflow or requests file rejects at line 2, after its one good
+# record: which file, the record, and the error after the file and line.
+BAD_RECORDS = {
+    "request-of-another-kind": (
+        "requests", lambda line: '{"record": "reqest"}', "expected a request record, got 'reqest'"
+    ),
+    "request-without-qos": ("requests", _without_qos, "bad request record: 'qos'"),
+    "workflow-of-another-kind": (
+        "workflow",
+        lambda line: '{"record": "candidate"}',
+        "expected a workflow record, got 'candidate'",
+    ),
+    "workflow-without-activities": (
+        "workflow",
+        lambda line: '{"ontology": "BookStore", "record": "workflow"}',
+        "bad workflow record: 'activities'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_bad_record_is_an_input_error_naming_its_line(case, fixtures_dir, tmp_path, capsys):
+    name, bad, message = BAD_RECORDS[case]
+    argv, edited = edited_inputs(
+        fixtures_dir, tmp_path, name, lambda lines: [*lines, bad(lines[0])]
+    )
+    assert invoke(["run", *argv]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {edited}:2: {message}\n"
 
 
 class TestCheck:
@@ -387,6 +471,26 @@ class TestCheck:
         else:
             assert code == cli.EXIT_VIOLATION
             assert "violation grant-feasibility" in err
+
+    def test_violations_name_the_trace_by_its_place_in_the_file(
+        self, bookstore_feasible, bookstore_infeasible, tmp_path, capsys
+    ):
+        feasible = engine.run(
+            bookstore_feasible.workflow, bookstore_feasible.registry, bookstore_feasible.requests, 0
+        )
+        over_budget = engine.run(
+            bookstore_infeasible.workflow,
+            bookstore_infeasible.registry,
+            bookstore_infeasible.requests,
+            0,
+            selector=support.always_grant_selector,
+        )
+        path = tmp_path / "two.jsonl"
+        formats.write_traces([feasible, over_budget], path)
+        assert invoke(["check", str(path)]) == cli.EXIT_VIOLATION
+        err = capsys.readouterr().err
+        assert f"violation grant-feasibility trace=1 transition={len(over_budget) - 1}:" in err
+        assert "trace=0" not in err
 
     def test_empty_trace_file_is_vacuously_ok(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,18 @@ from hypothesis import strategies as st
 import support
 from qosorch import conformance, engine, formats
 from qosorch.conformance import (
+    P_CREATION_SNAPSHOT,
+    P_DELIVERY_ORDER,
     P_DENIAL_ORACLE,
     P_DENIED_UNBOUND,
     P_GRANT_FEASIBILITY,
+    P_GRANTED_PROGRESS,
     P_MESSAGE_VOCABULARY,
     P_PYRAMID_CHAIN,
     P_REPLY_DICHOTOMY,
+    P_REQUEST_CONSTANCY,
     P_RULE_REPLAY,
+    P_STATE_DOMAIN,
     P_STATE_MONOTONICITY,
     P_UNIQUE_CREATION,
     P_WAITING_PROGRESS,
@@ -25,7 +31,17 @@ from qosorch.conformance import (
     check_service,
     check_system,
 )
-from qosorch.model import Configuration, InstanceState, QoSSpec, RuleId, Trace, instance_address
+from qosorch.model import (
+    ActivityState,
+    Configuration,
+    InstanceState,
+    MessageKind,
+    QoSSpec,
+    RuleId,
+    Trace,
+    Transition,
+    instance_address,
+)
 from qosorch.registry import Registry
 from qosorch.selection import CandidateService
 
@@ -329,7 +345,7 @@ class TestDenialOracle:
             CandidateService(
                 f"o{o}c{c}",
                 f"O{o}",
-                QoSSpec(data.draw(st.integers(1, 5)) * 10, data.draw(st.integers(0, 3))),
+                QoSSpec(data.draw(st.integers(1, 5)) * 10, data.draw(st.integers(0, 10**6))),
             )
             for o in range(n_ontologies)
             for c in range(data.draw(st.integers(1, 4)))
@@ -339,7 +355,7 @@ class TestDenialOracle:
         ]
         # A time bound under a slot's fastest candidate empties that slot;
         # one under 10 ms empties them all.
-        budget = QoSSpec(data.draw(st.integers(0, 60)), data.draw(st.integers(0, 12)))
+        budget = QoSSpec(data.draw(st.integers(0, 60)), data.draw(st.integers(0, 4 * 10**6)))
         registry = Registry.from_candidates(candidates)
         slots = [registry.query(ontology) for ontology in ontologies]
         assert _oracle_feasible(budget, ontologies, registry) == support.oracle_any_feasible(
@@ -366,6 +382,116 @@ class TestDenialOracle:
         assert least > sum(min(c.qos.cost_cents for c in registry.query(o)) for o in ontologies)
         assert not _oracle_feasible(QoSSpec(bound, least - 1), ontologies, registry)
         assert _oracle_feasible(QoSSpec(bound, least), ontologies, registry)
+
+    def test_a_slot_empty_under_the_time_bound_decides_before_combining(self):
+        """Six slots of fifty candidates within the time bound, with random
+        costs up to 10**6 under a budget of 10**8, then a slot with nothing
+        within it: combining the first six would reach nearly 50**6 totals."""
+        rng = random.Random(6)
+        candidates = [
+            CandidateService(f"o{o}c{c}", f"O{o}", QoSSpec(10, rng.randrange(10**6)))
+            for o in range(6)
+            for c in range(50)
+        ]
+        candidates.append(CandidateService("slow", "Slow", QoSSpec(1_000, 1)))
+        registry = Registry.from_candidates(candidates)
+        ontologies = [f"O{o}" for o in range(6)] + ["Slow"]
+        assert not _oracle_feasible(QoSSpec(100, 10**8), ontologies, registry)
+        assert _oracle_feasible(QoSSpec(1_000, 10**8), ontologies, registry)
+
+
+def with_instance(config, edit):
+    """config with its one instance replaced by edit(instance)."""
+    (address, instance), = config.instances()
+    actors = tuple((a, edit(instance) if a == address else s) for a, s in config.actors)
+    return Configuration(actors=actors, undelivered=config.undelivered)
+
+
+def edit_final(trace, edit):
+    """trace with its last target's instance replaced by edit(instance)."""
+    last = trace.steps[-1]
+    target = with_instance(last.target, edit)
+    return Trace(trace.initial, trace.steps[:-1] + (dataclasses.replace(last, target=target),))
+
+
+def notify_before_its_ack(fixture_set, run):
+    """A prefix of an explored trace in which the activity returned before
+    its acknowledgement was delivered, then a transition that consumes the
+    notification ahead of the acknowledgement on their channel."""
+    traces = engine.explore(
+        fixture_set.workflow, fixture_set.registry, fixture_set.requests, max_transitions=200
+    )
+    prefix = next(
+        trace.steps[: index + 1]
+        for trace in traces
+        for index, t in enumerate(trace.steps)
+        if t.rule is RuleId.R7_AA_RETURN
+        and any(m.kind is MessageKind.INVOKE_ACK for m in t.target.undelivered)
+    )
+    source = prefix[-1].target
+    notify = next(m for m in source.undelivered if m.kind is MessageKind.NOTIFY)
+    overtaking = Transition(
+        source, RuleId.R4B_NOTIFY_SOME_PENDING, notify, source.advance(notify, {}, ())
+    )
+    return Trace(prefix[0].source, prefix + (overtaking,))
+
+
+def first_step_with_outputs(fixture_set, run):
+    """The creation alone, with the new instance's outputs already set."""
+    creation = run.steps[0]
+    target = with_instance(
+        creation.target, lambda i: dataclasses.replace(i, output_parameters=(("x", "y"),))
+    )
+    return Trace(run.initial, (dataclasses.replace(creation, target=target),))
+
+
+def first_activity_preparing(instance):
+    """instance with its first activity moved back to Preparing."""
+    first = instance.activities[0]
+    return instance.with_activity(dataclasses.replace(first, state=ActivityState.PREPARING))
+
+
+# Property id -> (layer that reports it, forged trace built from the minimal
+# fixture set and its seed-3 run, text its witness contains).
+FORGED = {
+    P_STATE_DOMAIN: (
+        "behavior",
+        lambda _, run: edit_final(
+            run, lambda i: dataclasses.replace(i, state=ActivityState.RETURNED)
+        ),
+        "has state <ActivityState.RETURNED",
+    ),
+    P_DELIVERY_ORDER: ("behavior", notify_before_its_ack, "overtook an older one"),
+    P_CREATION_SNAPSHOT: ("system", first_step_with_outputs, "outputs are set at creation"),
+    P_REQUEST_CONSTANCY: (
+        "system",
+        lambda _, run: edit_final(
+            run,
+            lambda i: dataclasses.replace(
+                i, request=dataclasses.replace(i.request, qos=QoSSpec(1, 1))
+            ),
+        ),
+        "request of 'c1' changed",
+    ),
+    P_GRANTED_PROGRESS: (
+        "system",
+        lambda _, run: Trace(run.initial, run.steps[:3]),
+        "granted instance 'c1' ended Granted",
+    ),
+    P_STATE_MONOTONICITY: (
+        "system",
+        lambda _, run: edit_final(run, first_activity_preparing),
+        "activity 'Echo Input' of 'c1' moved Returned -> Preparing",
+    ),
+}
+
+
+@pytest.mark.parametrize("property_id", sorted(FORGED))
+def test_forged_trace_fires_its_property_at_its_layer(property_id, minimal_one, minimal_run):
+    layer, forge, witness = FORGED[property_id]
+    verdict = check_pyramid([forge(minimal_one, minimal_run)])
+    fired = [v for v in getattr(verdict, layer).violations if v.property_id == property_id]
+    assert fired and all(witness in v.witness for v in fired), verdict.violations
 
 
 class TestPyramid:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import support
 from qosorch import engine
 from qosorch.conformance import check_pyramid
-from qosorch.model import QoSSpec, WorkflowDef, WsoRequest, freeze_params
+from qosorch.model import AllocatedBinding, QoSSpec, WorkflowDef, WsoRequest, freeze_params
 from qosorch.registry import Registry
 from qosorch.selection import (
     AllocationResult,
@@ -65,7 +65,7 @@ class TestAllocate:
 
         result = qos_allocate(QoSSpec(150, 14), AB_ACTIVITIES, AB_REGISTRY)
         assert result.granted
-        assert [(n, c.candidate_id) for n, c, _ in result.per_activity] == [
+        assert [(b.aa_name, b.candidate_id) for b in result.per_activity] == [
             ("act-a", "a1"),
             ("act-b", "b2"),
         ]
@@ -123,7 +123,7 @@ class TestAllocate:
         expected = [c.candidate_id for c in support.oracle_best(budget, slots)]
         assert expected == ["o0a", "o1b"]
         result = qos_allocate(budget, activities, Registry.from_candidates(candidates))
-        assert [c.candidate_id for _, c, _ in result.per_activity] == expected
+        assert [b.candidate_id for b in result.per_activity] == expected
         assert result.aggregate() == QoSSpec(20, 2)
 
     @given(
@@ -152,10 +152,10 @@ class TestAllocate:
         result = qos_allocate(budget, activities, Registry.from_candidates(candidates))
         assert result.granted == (expected is not None)
         if result.granted:
-            assert [(n, c) for n, c, _ in result.per_activity] == [
-                (name, c) for (name, _), c in zip(activities, expected)
+            assert list(result.per_activity) == [
+                AllocatedBinding(name, c.candidate_id, c.qos)
+                for (name, _), c in zip(activities, expected)
             ]
-            assert [qos for _, _, qos in result.per_activity] == [c.qos for c in expected]
 
     def test_tight_budget_on_a_wide_registry_grants_the_all_fast_pick(self):
         # 7 ontologies x 4 candidates (16,384 combinations).  Each ontology
@@ -169,7 +169,7 @@ class TestAllocate:
         tight = QoSSpec(60, 35)
         result = qos_allocate(tight, workflow.activities, registry)
         assert result.granted
-        assert [c.candidate_id for _, c, _ in result.per_activity] == [
+        assert [b.candidate_id for b in result.per_activity] == [
             f"o{o}fast" for o in range(7)
         ]
         assert result.aggregate() == QoSSpec(50, 35)
