@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explore_p.add_argument(
         "--max-traces",
-        type=int,
+        type=positive,
         default=engine.DEFAULT_MAX_TRACES,
         help="bound on the maximal traces listed, which happens only for --trace-out "
         f"or to report violations (default {engine.DEFAULT_MAX_TRACES})",
@@ -191,27 +191,10 @@ def cmd_check(args) -> int:
         print("traces: 0")
         print("conformant (vacuous)")
         return EXIT_OK
-    # Traces sharing an initial configuration are checked together so that
-    # set-level properties see the whole set; a violation names the trace
-    # by its position in the file, not in its group.
-    groups: list[list[int]] = []
-    for index, trace in enumerate(traces):
-        for group in groups:
-            if traces[group[0]].initial == trace.initial:
-                group.append(index)
-                break
-        else:
-            groups.append([index])
-    all_violations = []
-    for group in groups:
-        verdict = conformance.check_pyramid([traces[index] for index in group])
-        all_violations.extend(
-            replace(violation, trace_index=group[violation.trace_index])
-            for violation in verdict.violations
-        )
+    verdict = conformance.check_pyramid(traces)
     print(f"traces: {len(traces)}")
-    if all_violations:
-        _print_violations(all_violations)
+    if verdict.violations:
+        _print_violations(verdict.violations)
         return EXIT_VIOLATION
     print("conformant")
     return EXIT_OK

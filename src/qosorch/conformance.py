@@ -16,13 +16,14 @@ The layers refine each other:
                rejection agrees with an independent selection oracle.
 
 Every check is a fact of one transition, the initial configuration counting
-as a change from the empty one, or of one final configuration together with
-the shared initial one.  So each fault is reported once, where it first
-appears or at the end, and each fact is computed once however many traces
-share its object.  A checker takes a trace set or a configuration graph
-from ``engine.explore_graph``, which stands for its maximal paths: the facts
-then come from its edges and terminal nodes, and the paths are listed only
-to place violations.  Checkers re-derive everything from the configurations
+as a change from the empty one, or of one final configuration, each read
+with the initial configuration of its own trace.  So each fault is reported
+once, where it first appears or at the end, each fact is computed once
+however many traces share its object, and any list of traces is checked in
+one pass.  A checker takes a trace set or a configuration graph from
+``engine.explore_graph``, which stands for its maximal paths: the facts then
+come from its edges and terminal nodes, and the paths are listed only to
+place violations.  Checkers re-derive everything from the configurations
 themselves; they never trust engine annotations.  The selection oracle here
 is intentionally a separate implementation from the selector the engine
 uses.
@@ -31,6 +32,7 @@ uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from . import engine as engine_mod
@@ -147,31 +149,36 @@ def _change(place):
     return _EMPTY, place, None
 
 
-def _distinct(checked: Checked, places):
-    """The distinct objects places yields over the traces of a trace set or
-    the paths of a graph: a graph's initial configuration and edges, or its
-    terminal nodes."""
-    if not isinstance(checked, engine_mod.ConfigurationGraph):
-        return {id(place): place for trace in checked for _, place in places(trace)}.values()
-    if places is _final:
-        return checked.terminals
-    return (checked.initial, *(edge for out in checked.edges.values() for edge in out))
+def _distinct(checked: Checked, places) -> dict:
+    """The distinct (initial, object) pairs, keyed by their ids, that places
+    yields over the traces of a trace set, each object with the initial
+    configuration of its trace, or over the paths of a graph: its initial
+    configuration and edges, or its terminal nodes."""
+    if isinstance(checked, engine_mod.ConfigurationGraph):
+        edges = (edge for out in checked.edges.values() for edge in out)
+        objects = checked.terminals if places is _final else (checked.initial, *edges)
+        pairs = ((checked.initial, place) for place in objects)
+    else:
+        pairs = ((trace.initial, place) for trace in checked for _, place in places(trace))
+    return {(id(initial), id(place)): (initial, place) for initial, place in pairs}
 
 
 def _stamp(checked: Checked, *judges) -> Verdict:
     """The violations of each (places, fact) judge over a trace set or the
     paths of a graph.
 
-    places(trace) yields (index, object) pairs and fact(object) gives notes:
-    (property, witness) at that index, or (property, witness, message) at
-    the first transition of the trace that emits the message, if any.  A
-    fact is computed once per distinct object, keyed by id, which no other
-    object can take while the traces or the graph keep every one alive; the
-    notes are stamped at each place, listing the paths of a graph, only when
-    some fact has one.
+    places(trace) yields (index, object) pairs and fact(initial, object),
+    given the trace's initial configuration too, gives notes: (property,
+    witness) at that index, or (property, witness, message) at the first
+    transition of the trace that emits the message, if any.  A fact is
+    computed once per distinct pair, keyed by ids, which no other object can
+    take while the traces or the graph keep every one alive; the notes are
+    stamped at each place, listing the paths of a graph, only when some
+    fact has one.
     """
     memos = [
-        {id(place): fact(place) for place in _distinct(checked, places)} for places, fact in judges
+        {key: fact(*pair) for key, pair in _distinct(checked, places).items()}
+        for places, fact in judges
     ]
     if not any(notes for memo in memos for notes in memo.values()):
         return Verdict.from_violations(())
@@ -186,7 +193,7 @@ def _stamp(checked: Checked, *judges) -> Verdict:
             for trace_index, trace in enumerate(traces)
             for (places, _), memo in zip(judges, memos)
             for index, place in places(trace)
-            for property_id, witness, *at in memo[id(place)]
+            for property_id, witness, *at in memo[id(trace.initial), id(place)]
         ]
     )
 
@@ -231,7 +238,7 @@ def _may_lose(before, after) -> bool:
     )
 
 
-def _behavior_notes(place) -> list[tuple[str, str]]:
+def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
     """(property, witness) for the snapshots and messages a transition
     introduces, for the pending addresses it leaves unresolvable, and for a
     rule application the engine does not reproduce."""
@@ -325,27 +332,22 @@ def check_behavior(checked: Checked) -> Verdict:
 # ---------------------------------------------------------------------------
 # System layer
 
-def _shared_initial(checked: Checked) -> Configuration:
-    """The initial configuration every trace or path starts from; the empty
-    one for no traces."""
-    if isinstance(checked, engine_mod.ConfigurationGraph):
-        return checked.initial
-    first = checked[0].initial if checked else _EMPTY
-    if any(trace.initial != first for trace in checked):
-        raise ValueError("trace sets must share one initial configuration")
-    return first
-
-
 def _seeded_requests(config: Configuration) -> list[Message]:
     return [m for m in config.undelivered if m.kind is MessageKind.WSO_REQUEST]
 
 
-def _creation_notes(transition: Transition, seeded) -> list[tuple[str, str]]:
-    """(property, witness) for an R1 transition: it must consume a seeded
-    request that has no instance yet and create a field-exact one."""
+def _state_text(state) -> str:
+    """The name of a state, or the value that stands where a state should."""
+    return getattr(state, "value", state)
+
+
+def _creation_notes(initial: Configuration, transition: Transition) -> list[tuple[str, str]]:
+    """(property, witness) for an R1 transition: it must consume a request
+    seeded in the initial configuration that has no instance yet and create
+    a field-exact one."""
     request_msg = transition.message
     cid = request_msg.client_id
-    if request_msg not in seeded:
+    if request_msg not in _seeded_requests(initial):
         return [(P_UNIQUE_CREATION, f"request {cid!r} is not a seeded request")]
     if get_wsoi(transition.source, cid) is not None:
         return [(P_UNIQUE_CREATION, f"request {cid!r} already has an instance")]
@@ -362,7 +364,7 @@ def _creation_notes(transition: Transition, seeded) -> list[tuple[str, str]]:
     ):
         problems.append("stored request differs from the incoming request")
     if instance.state is not InstanceState.WAITING:
-        problems.append(f"state is {instance.state.value}, expected Waiting")
+        problems.append(f"state is {_state_text(instance.state)}, expected Waiting")
     if instance.output_parameters is not None:
         problems.append("outputs are set at creation")
     if not instance.activities:
@@ -371,7 +373,9 @@ def _creation_notes(transition: Transition, seeded) -> list[tuple[str, str]]:
         if aa.qos is not None or aa.input_parameters is not None or aa.output_parameters is not None:
             problems.append(f"activity {aa.aa_name!r} carries data at creation")
         if aa.state is not ActivityState.PREPARING:
-            problems.append(f"activity {aa.aa_name!r} is {aa.state.value}, expected Preparing")
+            problems.append(
+                f"activity {aa.aa_name!r} is {_state_text(aa.state)}, expected Preparing"
+            )
         if aa.ws.bound:
             problems.append(f"activity {aa.aa_name!r} is bound at creation")
         if aa.wsoi_id != request_msg.client_id:
@@ -392,7 +396,7 @@ def _check_succession(prior: WsoInstance, current, note) -> None:
     if not instance_state_can_follow(prior.state, current.state):
         note(
             P_STATE_MONOTONICITY,
-            f"instance {cid!r} moved {prior.state.value} -> {current.state.value}",
+            f"instance {cid!r} moved {_state_text(prior.state)} -> {_state_text(current.state)}",
         )
     current_states = {aa.aa_name: aa.state for aa in current.activities}
     for prior_aa in prior.activities:
@@ -401,11 +405,11 @@ def _check_succession(prior: WsoInstance, current, note) -> None:
             note(
                 P_STATE_MONOTONICITY,
                 f"activity {prior_aa.aa_name!r} of {cid!r} moved "
-                f"{prior_aa.state.value} -> {state.value}",
+                f"{_state_text(prior_aa.state)} -> {_state_text(state)}",
             )
 
 
-def _lifecycle_notes(place, seeded) -> list[tuple[str, str]]:
+def _lifecycle_notes(initial: Configuration, place) -> list[tuple[str, str]]:
     """(property, witness) for what one transition does to the instances:
     creation on R1, succession where a prior instance is replaced, an
     instance that appears without being created, and the binding
@@ -418,7 +422,7 @@ def _lifecycle_notes(place, seeded) -> list[tuple[str, str]]:
 
     created = None
     if transition is not None and transition.rule is RuleId.R1_WSOIM_CREATE:
-        notes.extend(_creation_notes(transition, seeded))
+        notes.extend(_creation_notes(initial, transition))
         created = instance_address(transition.message.client_id)
     for address, prior, current in source.changes(target):
         if isinstance(prior, WsoInstance):
@@ -438,16 +442,16 @@ def _lifecycle_notes(place, seeded) -> list[tuple[str, str]]:
         ):
             note(
                 P_BINDING_REQUIRES_GRANT,
-                f"instance {cid!r} is {current.state.value} with bindings {bound}",
+                f"instance {cid!r} is {_state_text(current.state)} with bindings {bound}",
             )
     return notes
 
 
-def _progress_notes(final: Configuration, seeded) -> list[tuple[str, str]]:
+def _progress_notes(initial: Configuration, final: Configuration) -> list[tuple[str, str]]:
     """(property, witness) for a seeded request that ends without an
     instance and for an instance that ends short of a terminal state."""
     notes: list[tuple[str, str]] = []
-    for request_msg in seeded:
+    for request_msg in _seeded_requests(initial):
         if get_wsoi(final, request_msg.client_id) is None:
             witness = f"request {request_msg.client_id!r} ended without an instance"
             notes.append((P_UNIQUE_CREATION, witness))
@@ -464,23 +468,19 @@ def _progress_notes(final: Configuration, seeded) -> list[tuple[str, str]]:
 def check_system(checked: Checked) -> Verdict:
     """Check instance-lifecycle and binding-state constraints over a trace set.
 
-    All traces must start from the same initial configuration.  Every fact
-    is one of a transition or of a final configuration.  Creation is a fact
-    of the R1 transition, and an instance that appears anywhere else is a
-    unique-creation fault at that transition.  Progress is read from the
-    final instance state alone, which suffices: every instance snapshot is
-    created Waiting or reported, and every change of state is checked
+    Every fact is one of a transition or of a final configuration, read
+    with the initial configuration of its own trace, which seeds the
+    requests; so any list of traces is checked in one pass.  Creation is a
+    fact of the R1 transition, and an instance that appears anywhere else
+    is a unique-creation fault at that transition.  Progress is read from
+    the final instance state alone, which suffices: every instance snapshot
+    is created Waiting or reported, and every change of state is checked
     against the successor relation, where Completed follows only Servicing
     and Servicing only Granted.  So an instance that ends Completed with no
     fault reported went through Granted and Servicing, and one that ends
     Granted or Servicing was granted and never completed.
     """
-    seeded = _seeded_requests(_shared_initial(checked))
-    return _stamp(
-        checked,
-        (_transitions, lambda place: _lifecycle_notes(place, seeded)),
-        (_final, lambda final: _progress_notes(final, seeded)),
-    )
+    return _stamp(checked, (_transitions, _lifecycle_notes), (_final, _progress_notes))
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +516,11 @@ def _oracle_feasible(
 _CLIENT_REPLIES = (MessageKind.GRANTED_REPLY, MessageKind.COMPLETED_REPLY, MessageKind.DENIED_REPLY)
 
 
-def _service_notes(final: Configuration, initial: Configuration, feasible: dict) -> list:
+def _service_notes(initial: Configuration, final: Configuration, feasible: dict) -> list:
     """Notes for the seeded requests in one final configuration, judged from
     the replies each client received; a note about the completion or the
-    rejection names that reply.  feasible memoizes the oracle per seeded
-    position."""
+    rejection names that reply.  feasible memoizes the oracle per initial
+    configuration and seeded position."""
     manager = initial.actor(WSOIM_ADDRESS)
     selector_state = initial.actor(SS_ADDRESS)
     workflow = manager.workflow if isinstance(manager, ManagerState) else None
@@ -551,10 +551,11 @@ def _service_notes(final: Configuration, initial: Configuration, feasible: dict)
             elif request_msg.qos is None:
                 note(P_DENIAL_ORACLE, f"request of client {cid!r} carries no QoS budget", reply)
             else:
-                if position not in feasible:
+                key = id(initial), position
+                if key not in feasible:
                     ontologies = [ontology for _, ontology in workflow.activities]
-                    feasible[position] = _oracle_feasible(request_msg.qos, ontologies, registry)
-                if feasible[position]:
+                    feasible[key] = _oracle_feasible(request_msg.qos, ontologies, registry)
+                if feasible[key]:
                     witness = f"client {cid!r} was rejected although a feasible assignment exists"
                     note(P_DENIAL_ORACLE, witness, reply)
             continue
@@ -602,14 +603,14 @@ def check_service(checked: Checked) -> Verdict:
     bound service a candidate the registry offers for its activity at the
     bound QoS, aggregating within the requested budget) or a rejection (one
     denied reply, re-verified against the selection oracle), and nothing
-    else.  The checks are a fact of each distinct final configuration, and
-    a note about the completion or the rejection is stamped at the
-    transition that emitted that reply.  The traces share one initial
-    configuration, so the oracle runs at most once per seeded request.
+    else.  The checks are a fact of each distinct final configuration, read
+    with the initial configuration of its trace, and a note about the
+    completion or the rejection is stamped at the transition that emitted
+    that reply.  The oracle runs at most once per seeded request of each
+    initial configuration.
     """
-    initial = _shared_initial(checked)
-    feasible: dict[int, bool] = {}  # seeded position -> oracle verdict
-    return _stamp(checked, (_final, lambda final: _service_notes(final, initial, feasible)))
+    feasible: dict[tuple[int, int], bool] = {}  # (id(initial), seeded position) -> verdict
+    return _stamp(checked, (_final, partial(_service_notes, feasible=feasible)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +626,14 @@ def check_pyramid(checked: Checked) -> PyramidVerdict:
     system = check_system(checked)
     service = check_service(checked)
 
+    # A chain violation names the trace of the first violation of the layer
+    # that fails, a trace that shows the break.
     chain: list[Violation] = []
     if behavior.passed and not system.passed:
         chain.append(
             Violation(
                 P_PYRAMID_CHAIN,
-                0,
+                system.violations[0].trace_index,
                 None,
                 "behavior holds but the system constraints fail",
             )
@@ -639,7 +642,7 @@ def check_pyramid(checked: Checked) -> PyramidVerdict:
         chain.append(
             Violation(
                 P_PYRAMID_CHAIN,
-                0,
+                service.violations[0].trace_index,
                 None,
                 "system constraints hold but the service guarantee fails",
             )

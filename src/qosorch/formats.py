@@ -71,8 +71,8 @@ def _read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 def _load_records(path: str | Path, kind: str, parse) -> list:
     """Each record of a file that holds only records of one kind, parsed;
-    a record of another kind, or one that does not parse, is an error that
-    names the file and the line."""
+    a record of another kind, or one whose parse raises a ValueError, is a
+    FormatError that names the file and the line."""
     parsed = []
     for line_no, record in _read_records(path):
         if record["record"] != kind:
@@ -81,7 +81,7 @@ def _load_records(path: str | Path, kind: str, parse) -> list:
             )
         try:
             parsed.append(parse(record))
-        except FormatError as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from exc
     return parsed
 
@@ -462,7 +462,8 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
     Only transition records that arrive before their predecessor are held
     back, so a file in any order reads, at the memory cost of its disorder.
     A file with one fault gets the error it would get if the records of each
-    trace were read in index order.
+    trace were read in index order.  The trace indices must run from 0, so
+    that a violation names a trace by the index the file gives it.
     """
 
     def error(line: int | None, text: str) -> FormatError:
@@ -477,8 +478,8 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
             raise error(line, f"{where}: trace index {index!r} is not an integer")
         return index
 
-    # trace index -> (initial, steps so far, held records by transition index)
-    by_trace: dict[int, tuple[Configuration, list[Transition], dict[int, tuple]]] = {}
+    # trace index -> (line, initial, steps so far, held records by transition index)
+    by_trace: dict[int, tuple[int | None, Configuration, list[Transition], dict[int, tuple]]] = {}
     for line, record in numbered:
         if record["record"] == "trace":
             index = trace_index(line, record)
@@ -487,7 +488,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
             if "initial" not in record:
                 raise error(line, f"trace {index}: trace record without an initial configuration")
             try:
-                by_trace[index] = (config_from_record(record["initial"]), [], {})
+                by_trace[index] = (line, config_from_record(record["initial"]), [], {})
             except FormatError as exc:
                 raise error(line, f"trace {index}: {exc}") from exc
         elif record["record"] == "transition":
@@ -497,7 +498,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
             position = record.get("index")
             if not isinstance(position, int):
                 raise error(line, f"trace {index}: transition record without an integer index")
-            initial, steps, held = by_trace[index]
+            _, initial, steps, held = by_trace[index]
             if position < len(steps) or position in held:
                 # In index order a repeated index follows its first copy.
                 expected = position + 1 if position >= 0 else 0
@@ -513,7 +514,9 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
 
     traces = []
     for index in sorted(by_trace):
-        initial, steps, held = by_trace[index]
+        line, initial, steps, held = by_trace[index]
+        if index != len(traces):
+            raise error(line, f"expected trace {len(traces)}, got {index}")
         if held:
             first = min(held)
             raise error(

@@ -73,13 +73,6 @@ class QoSSpec:
             if value < 0:
                 raise ValueError(f"{label} must be >= 0, got {value}")
 
-    def fits_within(self, bound: QoSSpec) -> bool:
-        """Componentwise comparison; bounds are inclusive."""
-        return (
-            self.response_time_ms <= bound.response_time_ms
-            and self.cost_cents <= bound.cost_cents
-        )
-
 
 # ---------------------------------------------------------------------------
 # State machines
@@ -118,12 +111,13 @@ ACTIVITY_SUCCESSORS: dict[ActivityState, frozenset[ActivityState]] = {
 }
 
 
+# A value outside the state domain neither follows nor is followed by any.
 def instance_state_can_follow(current: InstanceState, nxt: InstanceState) -> bool:
-    return nxt in INSTANCE_SUCCESSORS[current]
+    return nxt in INSTANCE_SUCCESSORS.get(current, ())
 
 
 def activity_state_can_follow(current: ActivityState, nxt: ActivityState) -> bool:
-    return nxt in ACTIVITY_SUCCESSORS[current]
+    return nxt in ACTIVITY_SUCCESSORS.get(current, ())
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +268,6 @@ class WorkflowDef:
 
     def activity_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.activities)
-
-    def component_ontology(self, aa_name: str) -> str:
-        for name, component in self.activities:
-            if name == aa_name:
-                return component
-        raise UnknownActivityError(aa_name)
 
 
 # ---------------------------------------------------------------------------
@@ -793,10 +781,6 @@ class Transition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "emitted", tuple(self.emitted))
 
-    @property
-    def label(self) -> tuple[RuleId, Message]:
-        return (self.rule, self.message)
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -822,6 +806,3 @@ class Trace:
 
     def configurations(self) -> list[Configuration]:
         return [self.initial] + [step.target for step in self.steps]
-
-    def labels(self) -> tuple[tuple[RuleId, Message], ...]:
-        return tuple(step.label for step in self.steps)

@@ -44,9 +44,6 @@ class Registry:
         )
         return cls(entries=entries)
 
-    def ontologies(self) -> tuple[str, ...]:
-        return tuple(ontology for ontology, _ in self.entries)
-
     def candidates(self) -> tuple[CandidateService, ...]:
         return tuple(c for _, group in self.entries for c in group)
 
@@ -84,21 +81,12 @@ def candidate_from_record(record: dict) -> CandidateService:
 
 def load_registry(path: str | Path) -> Registry:
     """Load and validate a registry file (one JSON candidate record per line)."""
-    candidates: list[CandidateService] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RegistryError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or record.get("record") != "candidate":
-            raise RegistryError(f"{path}:{line_no}: expected a candidate record")
-        try:
-            candidates.append(candidate_from_record(record))
-        except RegistryError as exc:
-            raise RegistryError(f"{path}:{line_no}: {exc}") from exc
+    from .formats import FormatError, _load_records  # formats imports this module
+
+    try:
+        candidates = _load_records(path, "candidate", candidate_from_record)
+    except FormatError as exc:
+        raise RegistryError(str(exc)) from exc
     try:
         return Registry.from_candidates(candidates)
     except RegistryError as exc:

@@ -154,6 +154,17 @@ class TestUsage:
         assert "--max-transitions: must be positive, got 0" in err
         assert "engine error" not in err
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_non_positive_trace_bound_exits_one(self, bound, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "traces.jsonl"
+        argv = TestExplore.args(
+            fixtures_dir, "minimal", "minimal_requests_one.jsonl",
+            "--max-traces", bound, "--trace-out", str(out),
+        )
+        assert self.exit_code(argv) == cli.EXIT_INPUT
+        assert f"--max-traces: must be positive, got {bound}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert self.exit_code(["explore", "--help"]) == cli.EXIT_OK
         assert "--max-transitions" in capsys.readouterr().out
@@ -491,6 +502,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert f"violation grant-feasibility trace=1 transition={len(over_budget) - 1}:" in err
         assert "trace=0" not in err
+
+    def test_runs_from_different_initial_configurations_check_together(
+        self, golden_dir, tmp_path, capsys
+    ):
+        golden = [golden_dir / f"bookstore{kind}_seed0.jsonl" for kind in ("", "_infeasible")]
+        traces = [trace for path in golden for trace in formats.read_traces(path)]
+        path = tmp_path / "both.jsonl"
+        formats.write_traces(traces, path)
+        assert invoke(["check", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "traces: 2\nconformant\n"
 
     def test_empty_trace_file_is_vacuously_ok(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

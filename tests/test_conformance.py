@@ -261,9 +261,20 @@ class TestSystem:
         ]
         assert "Granted -> Completed" in verdict.violations[0].witness
 
-    def test_mixed_initial_configurations_rejected(self, minimal_run, infeasible_run):
-        with pytest.raises(ValueError):
-            check_system([minimal_run, infeasible_run])
+    def test_mixed_initial_configurations_check_in_one_pass(self, minimal_run, infeasible_run):
+        # Each trace's creation and progress are read against the requests
+        # its own initial configuration seeds, though both seed a client c1.
+        verdict = check_pyramid([minimal_run, infeasible_run])
+        assert verdict.passed and verdict.violations == ()
+
+    def test_fault_is_placed_at_its_trace_among_initial_configurations(
+        self, minimal_run, infeasible_run
+    ):
+        forged = edit_final(minimal_run, first_activity_preparing)
+        alone = check_system([forged]).violations
+        assert alone
+        verdict = check_system([infeasible_run, forged])
+        assert verdict.violations == tuple(dataclasses.replace(v, trace_index=1) for v in alone)
 
 
 class TestService:
@@ -414,6 +425,15 @@ def edit_final(trace, edit):
     return Trace(trace.initial, trace.steps[:-1] + (dataclasses.replace(last, target=target),))
 
 
+def edit_penultimate(trace, edit):
+    """trace with the instance of the configuration before its last
+    transition replaced by edit(instance)."""
+    *head, before, last = trace.steps
+    config = with_instance(last.source, edit)
+    before = dataclasses.replace(before, target=config)
+    return Trace(trace.initial, (*head, before, dataclasses.replace(last, source=config)))
+
+
 def notify_before_its_ack(fixture_set, run):
     """A prefix of an explored trace in which the activity returned before
     its acknowledgement was delivered, then a transition that consumes the
@@ -451,19 +471,33 @@ def first_activity_preparing(instance):
     return instance.with_activity(dataclasses.replace(first, state=ActivityState.PREPARING))
 
 
-# Property id -> (layer that reports it, forged trace built from the minimal
-# fixture set and its seed-3 run, text its witness contains).
+# Case -> (property, layer that reports it, forged trace built from the
+# minimal fixture set and its seed-3 run, text its witness contains); a case
+# is named after its property unless several forge one property.
 FORGED = {
     P_STATE_DOMAIN: (
+        P_STATE_DOMAIN,
         "behavior",
         lambda _, run: edit_final(
             run, lambda i: dataclasses.replace(i, state=ActivityState.RETURNED)
         ),
         "has state <ActivityState.RETURNED",
     ),
-    P_DELIVERY_ORDER: ("behavior", notify_before_its_ack, "overtook an older one"),
-    P_CREATION_SNAPSHOT: ("system", first_step_with_outputs, "outputs are set at creation"),
+    # A value that is not a state at all must not break the system layer.
+    "state-domain-not-a-state": (
+        P_STATE_DOMAIN,
+        "behavior",
+        lambda _, run: edit_final(run, lambda i: dataclasses.replace(i, state="Bogus")),
+        "has state 'Bogus'",
+    ),
+    P_DELIVERY_ORDER: (
+        P_DELIVERY_ORDER, "behavior", notify_before_its_ack, "overtook an older one"
+    ),
+    P_CREATION_SNAPSHOT: (
+        P_CREATION_SNAPSHOT, "system", first_step_with_outputs, "outputs are set at creation"
+    ),
     P_REQUEST_CONSTANCY: (
+        P_REQUEST_CONSTANCY,
         "system",
         lambda _, run: edit_final(
             run,
@@ -474,21 +508,30 @@ FORGED = {
         "request of 'c1' changed",
     ),
     P_GRANTED_PROGRESS: (
+        P_GRANTED_PROGRESS,
         "system",
         lambda _, run: Trace(run.initial, run.steps[:3]),
         "granted instance 'c1' ended Granted",
     ),
     P_STATE_MONOTONICITY: (
+        P_STATE_MONOTONICITY,
         "system",
         lambda _, run: edit_final(run, first_activity_preparing),
         "activity 'Echo Input' of 'c1' moved Returned -> Preparing",
     ),
+    # Moves into and out of it: Servicing -> Bogus, then Bogus -> Completed.
+    "state-monotonicity-through-a-non-state": (
+        P_STATE_MONOTONICITY,
+        "system",
+        lambda _, run: edit_penultimate(run, lambda i: dataclasses.replace(i, state="Bogus")),
+        "Bogus",
+    ),
 }
 
 
-@pytest.mark.parametrize("property_id", sorted(FORGED))
-def test_forged_trace_fires_its_property_at_its_layer(property_id, minimal_one, minimal_run):
-    layer, forge, witness = FORGED[property_id]
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_forged_trace_fires_its_property_at_its_layer(case, minimal_one, minimal_run):
+    property_id, layer, forge, witness = FORGED[case]
     verdict = check_pyramid([forge(minimal_one, minimal_run)])
     fired = [v for v in getattr(verdict, layer).violations if v.property_id == property_id]
     assert fired and all(witness in v.witness for v in fired), verdict.violations
@@ -521,6 +564,21 @@ class TestPyramid:
         assert P_GRANT_FEASIBILITY in properties(verdict.service)
         assert verdict.first_failed == "service"
         assert P_PYRAMID_CHAIN in properties(verdict)
+
+    def test_chain_violation_names_a_trace_that_breaks_it(self, minimal_run, bookstore_infeasible):
+        over_budget = engine.run(
+            bookstore_infeasible.workflow,
+            bookstore_infeasible.registry,
+            bookstore_infeasible.requests,
+            seed=0,
+            selector=support.always_grant_selector,
+        )
+        verdict = check_pyramid([minimal_run, over_budget])
+        assert verdict.first_failed == "service"
+        assert {(v.property_id, v.trace_index) for v in verdict.violations} == {
+            (P_GRANT_FEASIBILITY, 1),
+            (P_PYRAMID_CHAIN, 1),
+        }
 
     def test_denied_then_granted_fails_the_system_layer(self, bookstore_infeasible):
         trace = support.denied_then_granted_trace(

@@ -378,7 +378,7 @@ class TestExplore:
 
     def test_all_labels_distinct(self, explored_corpora):
         for traces in explored_corpora.sets.values():
-            labels = {trace.labels() for trace in traces}
+            labels = {tuple((t.rule, t.message) for t in trace.steps) for trace in traces}
             assert len(labels) == len(traces)
 
     def test_every_maximal_trace_terminates_each_instance(self, explored_corpora):
@@ -447,7 +447,9 @@ class TestExploreGraph:
             fixture_set.workflow, fixture_set.registry, fixture_set.requests
         )
         explored = explored_corpora.sets[key]
-        assert [t.labels() for t in explored] == [t.labels() for t in naive]
+        assert [[(s.rule, s.message) for s in t.steps] for t in explored] == [
+            [(s.rule, s.message) for s in t.steps] for t in naive
+        ]
         assert [t.final for t in explored] == [t.final for t in naive]
 
     @pytest.mark.parametrize("key", sorted(EXPLORED_FIXTURES))

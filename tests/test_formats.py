@@ -111,7 +111,8 @@ class TestTraceFiles:
         )[:5]
         lines = []
         rng = random.Random(0)
-        for trace_index, trace in enumerate(traces):
+        # The traces go last to first as well.
+        for trace_index, trace in reversed(list(enumerate(traces))):
             header, *transitions = formats.trace_to_records(trace, trace_index)
             rng.shuffle(transitions)
             lines += [json.dumps(record) for record in [header, *transitions]]
@@ -126,6 +127,29 @@ class TestTraceFiles:
         path.write_text("".join(line + "\n" for line in lines + [lines[3]]), encoding="utf-8")
         assert cli.main(["check", str(path)]) == 1
         assert f"{path}:{len(lines) + 1}: trace 0: expected transition 3, got 2" in capsys.readouterr().err
+
+    # Trace indices in the file, and the one out of place with the index
+    # expected in its stead.
+    @pytest.mark.parametrize(
+        "indices,got,expected",
+        [((5,), 5, 0), ((0, 2), 2, 1), ((-1, 0), -1, 0), ((2, 1), 1, 0)],
+        ids=["one-trace-numbered-5", "gap-at-1", "negative", "no-trace-0"],
+    )
+    def test_trace_indices_must_run_from_zero(
+        self, indices, got, expected, tmp_path, minimal_one, capsys
+    ):
+        trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
+        lines = [
+            json.dumps(record)
+            for index in indices
+            for record in formats.trace_to_records(trace, index)
+        ]
+        path = tmp_path / "gap.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 1
+        line = 1 + indices.index(got) * (len(trace) + 1)
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{line}: expected trace {expected}, got {got}\n"
 
     def test_write_is_deterministic(self, tmp_path, minimal_one):
         trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=9)

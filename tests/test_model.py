@@ -64,11 +64,6 @@ class TestQoSSpec:
         with pytest.raises(TypeError):
             QoSSpec(True, 0)
 
-    def test_fits_within_is_inclusive(self):
-        assert QoSSpec(10, 1).fits_within(QoSSpec(10, 1))
-        assert not QoSSpec(11, 1).fits_within(QoSSpec(10, 1))
-        assert not QoSSpec(10, 2).fits_within(QoSSpec(10, 1))
-
 
 class TestParams:
     def test_sorted_and_deduplicated(self):
@@ -179,9 +174,6 @@ class TestWorkflowDef:
             WorkflowDef(ontology="Shop", activities=(("A.B", "X"),))
         workflow = WorkflowDef(ontology="Shop", activities=(("A", "X"), ("B", "Y")))
         assert workflow.activity_names() == ("A", "B")
-        assert workflow.component_ontology("B") == "Y"
-        with pytest.raises(UnknownActivityError):
-            workflow.component_ontology("missing")
 
 
 class TestAddresses:

@@ -17,7 +17,7 @@ def cand(cid, ontology, rt, cost):
 def test_bookstore_fixture_loads(fixtures_dir):
     registry = load_registry(fixtures_dir / "bookstore_registry.jsonl")
     assert len(registry.candidates()) == 12
-    assert len(registry.ontologies()) == 6
+    assert len(registry.entries) == 6
     for _, group in registry.entries:
         assert list(group) == sorted(group, key=lambda c: c.candidate_id)
 
