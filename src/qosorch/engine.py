@@ -88,91 +88,12 @@ def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Regis
 
 
 # ---------------------------------------------------------------------------
-# Rules
+# Rule appliers
 #
-# The message kind fixes the rule, and the vocabulary fixes the receiver role
-# (:func:`receiver_role`).  Each entry names the receiver states the rule
-# fires in (None: any).  Notify is the one kind with two rules: R4a when the
-# notification completes the instance, R4b otherwise.  Client-bound replies
-# have no rule; they are delivered synchronously by :func:`step`.
-
-_RULES: dict[MessageKind, tuple[RuleId, frozenset | None]] = {
-    MessageKind.WSO_REQUEST: (RuleId.R1_WSOIM_CREATE, None),
-    MessageKind.SELECT: (RuleId.R5_SS_SELECT, None),
-    MessageKind.SELECT_REPLY_DENIED: (RuleId.R2A_SELECT_DENIED, frozenset({InstanceState.WAITING})),
-    MessageKind.SELECT_REPLY_GRANTED: (
-        RuleId.R2B_SELECT_GRANTED,
-        frozenset({InstanceState.WAITING}),
-    ),
-    MessageKind.INVOKE_ACK: (
-        RuleId.R3_INVOKE_ACK,
-        frozenset({InstanceState.GRANTED, InstanceState.SERVICING}),
-    ),
-    MessageKind.NOTIFY: (RuleId.R4A_NOTIFY_ALL_RETURNED, frozenset({InstanceState.SERVICING})),
-    MessageKind.INVOKE: (RuleId.R6_AA_INVOKE, frozenset({ActivityState.PREPARING})),
-    MessageKind.INVOKE_REPLY: (RuleId.R7_AA_RETURN, frozenset({ActivityState.INVOKING})),
-    MessageKind.INVOKE_WS: (RuleId.R8_WS_INVOKE, None),
-}
-
-
-def _receiver_state(config: Configuration, message: Message):
-    role = address_role(message.receiver)
-    if role is Role.INSTANCE:
-        instance = get_wsoi(config, message.client_id)
-        return None if instance is None else instance.state
-    if role is Role.ACTIVITY:
-        instance = get_wsoi(config, message.client_id)
-        if instance is None:
-            return None
-        aa_name = address_aa_name(message.receiver)
-        for aa in instance.activities:
-            if aa.aa_name == aa_name:
-                return aa.state
-        return None
-    return None
-
-
-def _completion_ready(config: Configuration, message: Message) -> bool:
-    """True when this notification is the one that completes the instance:
-    every activity has returned and no other notification for the instance
-    is still pending."""
-    instance = get_wsoi(config, message.client_id)
-    if instance is None:
-        return False
-    if any(aa.state is not ActivityState.RETURNED for aa in instance.activities):
-        return False
-    return not any(
-        m.kind is MessageKind.NOTIFY and m != message
-        for m in config.pending_to(instance_address(message.client_id))
-    )
-
-
-def rule_for(config: Configuration, message: Message) -> RuleId:
-    """The one rule that consumes this message in this configuration."""
-    rule, states = _RULES.get(message.kind, (None, None))
-    if (
-        rule is None
-        or address_role(message.receiver) is not receiver_role(message.kind)
-        or (states is not None and _receiver_state(config, message) not in states)
-    ):
-        state = _receiver_state(config, message)
-        raise NoRuleError(
-            f"no rule consumes {message.kind.value} at {message.receiver!r} "
-            f"(state {getattr(state, 'value', state)})"
-        )
-    if rule is RuleId.R4A_NOTIFY_ALL_RETURNED and not _completion_ready(config, message):
-        return RuleId.R4B_NOTIFY_SOME_PENDING
-    return rule
-
-
-def enabled(config: Configuration) -> list[tuple[Message, RuleId]]:
-    """Every deliverable message paired with the unique rule it would fire,
-    in deterministic order."""
-    return [(message, rule_for(config, message)) for message in config.heads]
-
-
-# ---------------------------------------------------------------------------
-# Rule application
+# An applier fires its rule on the consumed message, the client's instance and
+# the activity the receiver address names (None where there is none).  It
+# returns the instance's new snapshot (None: unchanged) and the messages the
+# rule emits; :func:`step` alone assembles the changed actors.
 
 def _ws_output_digest(inputs: Params | None) -> str:
     payload = json.dumps(params_dict(inputs or ()), sort_keys=True)
@@ -193,13 +114,13 @@ def _selector_registry(config: Configuration) -> Registry:
     return snapshot.registry
 
 
-def _apply_r1(config: Configuration, message: Message, selector: Selector):
+def _apply_r1(config, message, instance, aa, selector):
     workflow = _manager_workflow(config)
     if message.ontology != workflow.ontology:
         raise NoRuleError(
             f"manager instantiates {workflow.ontology!r}, request asks for {message.ontology!r}"
         )
-    if get_wsoi(config, message.client_id) is not None:
+    if instance is not None:
         raise NoRuleError(f"instance for client {message.client_id!r} already exists")
     request = WsoRequest(
         client_id=message.client_id,
@@ -207,16 +128,14 @@ def _apply_r1(config: Configuration, message: Message, selector: Selector):
         input_parameters=message.params or (),
         qos=message.qos,
     )
-    instance = WsoInstance.create(request, workflow.activity_names())
+    created = WsoInstance.create(request, workflow.activity_names())
     select = build_message(
         MessageKind.SELECT, request.client_id, ontology=request.ontology, qos=request.qos
     )
-    changed = {instance_address(request.client_id): instance}
-    return changed, [select]
+    return created, [select]
 
 
-def _apply_r5(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
+def _apply_r5(config, message, instance, aa, selector):
     if instance is None:
         raise NoRuleError(f"selection requested for unknown client {message.client_id!r}")
     result = selector(instance.request, _manager_workflow(config), _selector_registry(config))
@@ -226,7 +145,7 @@ def _apply_r5(config: Configuration, message: Message, selector: Selector):
         )
     else:
         reply = build_message(MessageKind.SELECT_REPLY_DENIED, message.client_id)
-    return {}, [reply]
+    return None, [reply]
 
 
 def _client_reply(kind: MessageKind, instance: WsoInstance, **payload) -> Message:
@@ -238,15 +157,13 @@ def _client_reply(kind: MessageKind, instance: WsoInstance, **payload) -> Messag
     )
 
 
-def _apply_r2a(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
+def _apply_r2a(config, message, instance, aa, selector):
     denied = replace(instance, state=InstanceState.DENIED, output_parameters=None)
     reply = _client_reply(MessageKind.DENIED_REPLY, instance)
-    return {instance_address(message.client_id): denied}, [reply]
+    return denied, [reply]
 
 
-def _apply_r2b(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
+def _apply_r2b(config, message, instance, aa, selector):
     allocated = {binding.aa_name: binding for binding in message.assignment}
     if len(allocated) != len(message.assignment) or set(allocated) != set(
         instance.activity_names()
@@ -278,76 +195,137 @@ def _apply_r2b(config: Configuration, message: Message, selector: Selector):
     cid = message.client_id
     emitted = [_client_reply(MessageKind.GRANTED_REPLY, instance)]
     emitted.extend(build_message(MessageKind.INVOKE, cid, aa.aa_name) for aa in granted.activities)
-    return {instance_address(cid): granted}, emitted
+    return granted, emitted
 
 
-def _apply_r3(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
+def _apply_r3(config, message, instance, aa, selector):
     servicing = replace(instance, state=InstanceState.SERVICING, output_parameters=None)
-    return {instance_address(message.client_id): servicing}, []
+    return servicing, []
 
 
-def _apply_r4a(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
+def _apply_r4a(config, message, instance, aa, selector):
     outputs = map_output_parameters(
         {aa.aa_name: aa.output_parameters for aa in instance.activities}
     )
     completed = replace(instance, state=InstanceState.COMPLETED, output_parameters=outputs)
     reply = _client_reply(MessageKind.COMPLETED_REPLY, instance, params=outputs)
-    return {instance_address(message.client_id): completed}, [reply]
+    return completed, [reply]
 
 
-def _apply_r4b(config: Configuration, message: Message, selector: Selector):
-    return {}, []
+def _apply_r4b(config, message, instance, aa, selector):
+    return None, []
 
 
-def _apply_r6(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
-    aa = get_aa(instance, address_aa_name(message.receiver))
+def _apply_r6(config, message, instance, aa, selector):
     invoking = replace(aa, output_parameters=None, state=ActivityState.INVOKING)
     cid = message.client_id
     ack = build_message(MessageKind.INVOKE_ACK, cid, aa.aa_name)
     invoke_ws = build_message(
         MessageKind.INVOKE_WS, cid, aa.aa_name, params=aa.input_parameters or ()
     )
-    return {instance_address(cid): instance.with_activity(invoking)}, [ack, invoke_ws]
+    return instance.with_activity(invoking), [ack, invoke_ws]
 
 
-def _apply_r7(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
-    aa = get_aa(instance, address_aa_name(message.receiver))
+def _apply_r7(config, message, instance, aa, selector):
     returned = replace(aa, output_parameters=message.params, state=ActivityState.RETURNED)
     cid = message.client_id
     notify = build_message(
         MessageKind.NOTIFY, cid, aa.aa_name, aa_name=aa.aa_name, aa_state=ActivityState.RETURNED
     )
-    return {instance_address(cid): instance.with_activity(returned)}, [notify]
+    return instance.with_activity(returned), [notify]
 
 
-def _apply_r8(config: Configuration, message: Message, selector: Selector):
-    instance = get_wsoi(config, message.client_id)
-    if instance is None:
-        raise NoRuleError(f"service invoked for unknown client {message.client_id!r}")
-    aa = get_aa(instance, address_aa_name(message.receiver))
+def _apply_r8(config, message, instance, aa, selector):
     if not aa.ws.bound:
         raise NoRuleError(f"activity {aa.aa_name!r} has no bound service")
     outputs = (("result", f"{aa.ws.endpoint}:{_ws_output_digest(message.params)}"),)
     reply = build_message(MessageKind.INVOKE_REPLY, message.client_id, aa.aa_name, params=outputs)
-    return {}, [reply]
+    return None, [reply]
 
 
-_RULE_APPLIERS = {
-    RuleId.R1_WSOIM_CREATE: _apply_r1,
-    RuleId.R5_SS_SELECT: _apply_r5,
-    RuleId.R2A_SELECT_DENIED: _apply_r2a,
-    RuleId.R2B_SELECT_GRANTED: _apply_r2b,
-    RuleId.R3_INVOKE_ACK: _apply_r3,
-    RuleId.R4A_NOTIFY_ALL_RETURNED: _apply_r4a,
-    RuleId.R4B_NOTIFY_SOME_PENDING: _apply_r4b,
-    RuleId.R6_AA_INVOKE: _apply_r6,
-    RuleId.R7_AA_RETURN: _apply_r7,
-    RuleId.R8_WS_INVOKE: _apply_r8,
+# ---------------------------------------------------------------------------
+# Rules
+#
+# The message kind fixes the rule, and the vocabulary fixes the receiver role
+# (:func:`receiver_role`).  Each kind's row names its rule, the applier that
+# fires it, and the receiver states it fires in (None: any).  A service has no
+# state: an invokeWs reads the state of the activity whose service it invokes.
+# Notify is the one kind with two rules: R4a when the notification completes
+# the instance, R4b otherwise.  Client-bound replies have no row; they are
+# delivered synchronously by :func:`step`.
+
+_RULES: dict[MessageKind, tuple[RuleId, Callable, frozenset | None]] = {
+    MessageKind.WSO_REQUEST: (RuleId.R1_WSOIM_CREATE, _apply_r1, None),
+    MessageKind.SELECT: (RuleId.R5_SS_SELECT, _apply_r5, None),
+    MessageKind.SELECT_REPLY_DENIED: (
+        RuleId.R2A_SELECT_DENIED,
+        _apply_r2a,
+        frozenset({InstanceState.WAITING}),
+    ),
+    MessageKind.SELECT_REPLY_GRANTED: (
+        RuleId.R2B_SELECT_GRANTED,
+        _apply_r2b,
+        frozenset({InstanceState.WAITING}),
+    ),
+    MessageKind.INVOKE_ACK: (
+        RuleId.R3_INVOKE_ACK,
+        _apply_r3,
+        frozenset({InstanceState.GRANTED, InstanceState.SERVICING}),
+    ),
+    MessageKind.NOTIFY: (
+        RuleId.R4A_NOTIFY_ALL_RETURNED,
+        _apply_r4a,
+        frozenset({InstanceState.SERVICING}),
+    ),
+    MessageKind.INVOKE: (RuleId.R6_AA_INVOKE, _apply_r6, frozenset({ActivityState.PREPARING})),
+    MessageKind.INVOKE_REPLY: (RuleId.R7_AA_RETURN, _apply_r7, frozenset({ActivityState.INVOKING})),
+    MessageKind.INVOKE_WS: (RuleId.R8_WS_INVOKE, _apply_r8, frozenset(ActivityState)),
 }
+
+
+def _completion_ready(config: Configuration, message: Message, instance: WsoInstance) -> bool:
+    """True when this notification is the one that completes the instance:
+    every activity has returned and no other notification for the instance
+    is still pending."""
+    if any(aa.state is not ActivityState.RETURNED for aa in instance.activities):
+        return False
+    return not any(
+        m.kind is MessageKind.NOTIFY and m != message
+        for m in config.pending_to(instance_address(message.client_id))
+    )
+
+
+def _match(config: Configuration, message: Message):
+    """The rule that consumes this message in this configuration, its
+    applier, the client's instance and the activity the receiver names."""
+    instance = get_wsoi(config, message.client_id)
+    activity = None if instance is None else get_aa(instance, address_aa_name(message.receiver))
+    role = address_role(message.receiver)
+    state = getattr(instance if role is Role.INSTANCE else activity, "state", None)
+    rule, apply, states = _RULES.get(message.kind, (None, None, None))
+    if (
+        rule is None
+        or role is not receiver_role(message.kind)
+        or (states is not None and state not in states)
+    ):
+        raise NoRuleError(
+            f"no rule consumes {message.kind.value} at {message.receiver!r} "
+            f"(state {getattr(state, 'value', state)})"
+        )
+    if rule is RuleId.R4A_NOTIFY_ALL_RETURNED and not _completion_ready(config, message, instance):
+        return RuleId.R4B_NOTIFY_SOME_PENDING, _apply_r4b, instance, activity
+    return rule, apply, instance, activity
+
+
+def rule_for(config: Configuration, message: Message) -> RuleId:
+    """The one rule that consumes this message in this configuration."""
+    return _match(config, message)[0]
+
+
+def enabled(config: Configuration) -> list[tuple[Message, RuleId]]:
+    """Every deliverable message paired with the unique rule it would fire,
+    in deterministic order."""
+    return [(message, rule_for(config, message)) for message in config.heads]
 
 
 def _check_deliverable(config: Configuration, message: Message) -> None:
@@ -373,8 +351,9 @@ def step(config: Configuration, message: Message, *, selector: Selector | None =
     if selector is None:
         selector = default_selector
     _check_deliverable(config, message)
-    rule = rule_for(config, message)
-    changed, emitted = _RULE_APPLIERS[rule](config, message, selector)
+    rule, apply, instance, activity = _match(config, message)
+    updated, emitted = apply(config, message, instance, activity, selector)
+    changed = {} if updated is None else {instance_address(message.client_id): updated}
 
     for out in emitted:
         schema_error = message_schema_error(out)

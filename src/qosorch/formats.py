@@ -471,7 +471,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
 
     def trace_index(line: int | None, record: dict) -> int:
         index = record.get("trace", 0)
-        if not isinstance(index, int):
+        if not isinstance(index, int) or isinstance(index, bool):
             where = "trace record"
             if record["record"] == "transition":
                 where = f"transition {record.get('index')!r}"
@@ -496,7 +496,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
             if index not in by_trace:
                 raise error(line, f"transition for unknown trace {index}")
             position = record.get("index")
-            if not isinstance(position, int):
+            if not isinstance(position, int) or isinstance(position, bool):
                 raise error(line, f"trace {index}: transition record without an integer index")
             _, initial, steps, held = by_trace[index]
             if position < len(steps) or position in held:

@@ -22,10 +22,6 @@ if TYPE_CHECKING:
     from .registry import Registry
 
 
-class UnknownActivityError(KeyError):
-    """Raised when an activity name is not part of an instance."""
-
-
 # ---------------------------------------------------------------------------
 # Parameter maps
 #
@@ -695,14 +691,12 @@ def get_wsoi(config: Configuration, client_id: str) -> WsoInstance | None:
     return snapshot if isinstance(snapshot, WsoInstance) else None
 
 
-def get_aa(instance: WsoInstance, aa_name: str) -> ActivityActor:
-    """The named activity of an instance; unknown names are an error."""
+def get_aa(instance: WsoInstance, aa_name: str | None) -> ActivityActor | None:
+    """The named activity of an instance, or None if it has none by that name."""
     for aa in instance.activities:
         if aa.aa_name == aa_name:
             return aa
-    raise UnknownActivityError(
-        f"instance {instance.client_id!r} has no activity named {aa_name!r}"
-    )
+    return None
 
 
 def snapshot_error(address: str, snapshot: ActorSnapshot) -> str | None:

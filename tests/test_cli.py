@@ -45,6 +45,9 @@ MUTATIONS = st.one_of(
 # is transition 2, whose first changed actor is the client record "ca:c1".
 MALFORMED = {
     "trace-index-not-an-integer": (((3, ("trace",)), "replace", [0]), "transition 2: "),
+    # Booleans are ints in Python, but false is not trace 0 nor true transition 1.
+    "trace-index-a-boolean": (((3, ("trace",)), "replace", False), "transition 2: "),
+    "transition-index-a-boolean": (((2, ("index",)), "replace", True), "trace 0: "),
     "duplicated-initial-actor": (((0, ("initial", "actors", 0)), "duplicate", None), "trace 0: "),
     "missing-initial": (((0, ("initial",)), "delete", None), "trace 0: "),
     "initial-actor-not-an-object": (((0, ("initial", "actors", 0)), "replace", 5), "trace 0: "),
@@ -434,6 +437,8 @@ class TestCheck:
     )
     @given(mutation=MUTATIONS)
     @example(mutation=MALFORMED["trace-index-not-an-integer"][0])
+    @example(mutation=MALFORMED["trace-index-a-boolean"][0])
+    @example(mutation=MALFORMED["transition-index-a-boolean"][0])
     @example(mutation=MALFORMED["duplicated-initial-actor"][0])
     @example(mutation=MALFORMED["missing-initial"][0])
     @example(mutation=MALFORMED["initial-actor-not-an-object"][0])

@@ -412,9 +412,15 @@ class TestDenialOracle:
 
 
 def with_instance(config, edit):
-    """config with its one instance replaced by edit(instance)."""
+    """config with its one instance replaced by edit(instance), or removed
+    where that is None."""
     (address, instance), = config.instances()
-    actors = tuple((a, edit(instance) if a == address else s) for a, s in config.actors)
+    updated = edit(instance)
+    actors = tuple(
+        (a, updated if a == address else s)
+        for a, s in config.actors
+        if a != address or updated is not None
+    )
     return Configuration(actors=actors, undelivered=config.undelivered)
 
 
@@ -456,13 +462,18 @@ def notify_before_its_ack(fixture_set, run):
     return Trace(prefix[0].source, prefix + (overtaking,))
 
 
-def first_step_with_outputs(fixture_set, run):
-    """The creation alone, with the new instance's outputs already set."""
-    creation = run.steps[0]
-    target = with_instance(
-        creation.target, lambda i: dataclasses.replace(i, output_parameters=(("x", "y"),))
-    )
-    return Trace(run.initial, (dataclasses.replace(creation, target=target),))
+def edit_creation(trace, edit):
+    """The creation alone, with the new instance replaced by edit(instance)."""
+    creation = trace.steps[0]
+    target = with_instance(creation.target, edit)
+    return Trace(trace.initial, (dataclasses.replace(creation, target=target),))
+
+
+def first_activity_bound(instance):
+    """instance with its first activity bound to a service."""
+    first = instance.activities[0]
+    ws = dataclasses.replace(first.ws, endpoint="forged", advertised_qos=QoSSpec(1, 1))
+    return instance.with_activity(dataclasses.replace(first, ws=ws))
 
 
 def first_activity_preparing(instance):
@@ -494,7 +505,26 @@ FORGED = {
         P_DELIVERY_ORDER, "behavior", notify_before_its_ack, "overtook an older one"
     ),
     P_CREATION_SNAPSHOT: (
-        P_CREATION_SNAPSHOT, "system", first_step_with_outputs, "outputs are set at creation"
+        P_CREATION_SNAPSHOT,
+        "system",
+        lambda _, run: edit_creation(
+            run, lambda i: dataclasses.replace(i, output_parameters=(("x", "y"),))
+        ),
+        "outputs are set at creation",
+    ),
+    "creation-snapshot-not-waiting": (
+        P_CREATION_SNAPSHOT,
+        "system",
+        lambda _, run: edit_creation(
+            run, lambda i: dataclasses.replace(i, state=InstanceState.GRANTED)
+        ),
+        "state is Granted, expected Waiting",
+    ),
+    "creation-snapshot-bound": (
+        P_CREATION_SNAPSHOT,
+        "system",
+        lambda _, run: edit_creation(run, first_activity_bound),
+        "activity 'Echo Input' is bound at creation",
     ),
     P_REQUEST_CONSTANCY: (
         P_REQUEST_CONSTANCY,
@@ -506,6 +536,30 @@ FORGED = {
             ),
         ),
         "request of 'c1' changed",
+    ),
+    "request-constancy-instance-disappeared": (
+        P_REQUEST_CONSTANCY,
+        "system",
+        lambda _, run: edit_final(run, lambda i: None),
+        "instance 'c1' disappeared",
+    ),
+    "request-constancy-activity-set": (
+        P_REQUEST_CONSTANCY,
+        "system",
+        lambda _, run: edit_final(
+            run,
+            lambda i: dataclasses.replace(
+                i, activities=(dataclasses.replace(i.activities[0], aa_name="Renamed"),)
+            ),
+        ),
+        "activity set of 'c1' changed",
+    ),
+    # Nothing consumes the seeded request.
+    P_UNIQUE_CREATION: (
+        P_UNIQUE_CREATION,
+        "system",
+        lambda _, run: Trace(run.initial, ()),
+        "request 'c1' ended without an instance",
     ),
     P_GRANTED_PROGRESS: (
         P_GRANTED_PROGRESS,

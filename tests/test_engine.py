@@ -29,6 +29,7 @@ from qosorch.model import (
     RuleId,
     SS_ADDRESS,
     WsoRequest,
+    build_message,
     client_address,
     get_aa,
     get_wsoi,
@@ -277,14 +278,18 @@ class TestRuleDeterminism:
             ontology=request.ontology,
             qos=request.qos,
         )
+        # A service invocation for an activity the instance does not have.
+        unknown_service = build_message(MessageKind.INVOKE_WS, "c1", "missing", params=())
         polluted = dataclasses.replace(
-            config, undelivered=config.undelivered + (reply, misrouted)
+            config, undelivered=config.undelivered + (reply, misrouted, unknown_service)
         )
-        for message in (reply, misrouted):
+        for message in (reply, misrouted, unknown_service):
             with pytest.raises(NoRuleError):
                 rule_for(polluted, message)
             with pytest.raises(NoRuleError):
                 step(polluted, message)
+        with pytest.raises(NoRuleError, match="'ws:c1:missing'"):
+            step(polluted, unknown_service)
 
 
 class TestRun:

@@ -18,7 +18,6 @@ from qosorch.model import (
     RuleId,
     Trace,
     Transition,
-    UnknownActivityError,
     WorkflowDef,
     WsBinding,
     WsoInstance,
@@ -337,8 +336,7 @@ class TestConfigurationAccessors:
     def test_get_aa(self):
         instance = WsoInstance.create(make_request(), ["Get Pays", "Send Price of Books"])
         assert get_aa(instance, "Get Pays").aa_name == "Get Pays"
-        with pytest.raises(UnknownActivityError):
-            get_aa(instance, "missing")
+        assert get_aa(instance, "missing") is None
 
     def test_changes_are_added_removed_and_replaced_actors_by_address(self):
         kept = WsoInstance.create(make_request("c1"), ["A"])
