@@ -61,6 +61,7 @@ from .model import (
     resolvable_addresses,
     resolves,
     snapshot_error,
+    state_text,
 )
 from .registry import Registry
 from .selection import AllocationResult
@@ -336,11 +337,6 @@ def _seeded_requests(config: Configuration) -> list[Message]:
     return [m for m in config.undelivered if m.kind is MessageKind.WSO_REQUEST]
 
 
-def _state_text(state) -> str:
-    """The name of a state, or the value that stands where a state should."""
-    return getattr(state, "value", state)
-
-
 def _creation_notes(initial: Configuration, transition: Transition) -> list[tuple[str, str]]:
     """(property, witness) for an R1 transition: it must consume a request
     seeded in the initial configuration that has no instance yet and create
@@ -364,7 +360,7 @@ def _creation_notes(initial: Configuration, transition: Transition) -> list[tupl
     ):
         problems.append("stored request differs from the incoming request")
     if instance.state is not InstanceState.WAITING:
-        problems.append(f"state is {_state_text(instance.state)}, expected Waiting")
+        problems.append(f"state is {state_text(instance.state)}, expected Waiting")
     if instance.output_parameters is not None:
         problems.append("outputs are set at creation")
     if not instance.activities:
@@ -374,7 +370,7 @@ def _creation_notes(initial: Configuration, transition: Transition) -> list[tupl
             problems.append(f"activity {aa.aa_name!r} carries data at creation")
         if aa.state is not ActivityState.PREPARING:
             problems.append(
-                f"activity {aa.aa_name!r} is {_state_text(aa.state)}, expected Preparing"
+                f"activity {aa.aa_name!r} is {state_text(aa.state)}, expected Preparing"
             )
         if aa.ws.bound:
             problems.append(f"activity {aa.aa_name!r} is bound at creation")
@@ -396,7 +392,7 @@ def _check_succession(prior: WsoInstance, current, note) -> None:
     if not instance_state_can_follow(prior.state, current.state):
         note(
             P_STATE_MONOTONICITY,
-            f"instance {cid!r} moved {_state_text(prior.state)} -> {_state_text(current.state)}",
+            f"instance {cid!r} moved {state_text(prior.state)} -> {state_text(current.state)}",
         )
     current_states = {aa.aa_name: aa.state for aa in current.activities}
     for prior_aa in prior.activities:
@@ -405,7 +401,7 @@ def _check_succession(prior: WsoInstance, current, note) -> None:
             note(
                 P_STATE_MONOTONICITY,
                 f"activity {prior_aa.aa_name!r} of {cid!r} moved "
-                f"{_state_text(prior_aa.state)} -> {_state_text(state)}",
+                f"{state_text(prior_aa.state)} -> {state_text(state)}",
             )
 
 
@@ -442,7 +438,7 @@ def _lifecycle_notes(initial: Configuration, place) -> list[tuple[str, str]]:
         ):
             note(
                 P_BINDING_REQUIRES_GRANT,
-                f"instance {cid!r} is {_state_text(current.state)} with bindings {bound}",
+                f"instance {cid!r} is {state_text(current.state)} with bindings {bound}",
             )
     return notes
 
@@ -562,6 +558,9 @@ def _service_notes(initial: Configuration, final: Configuration, feasible: dict)
         instance = get_wsoi(final, cid)
         if instance is None:
             note(P_GRANT_FEASIBILITY, f"no final instance for {cid!r}")
+            continue
+        if not instance.activities:
+            note(P_GRANT_FEASIBILITY, f"accepted instance {cid!r} has no activities")
             continue
         bound = [aa.ws.advertised_qos for aa in instance.activities if aa.ws.bound]
         if len(bound) != len(instance.activities):

@@ -49,6 +49,7 @@ from .model import (
     message_schema_error,
     params_dict,
     receiver_role,
+    state_text,
 )
 from .registry import Registry
 from .selection import AllocationResult, map_input_parameters, map_output_parameters, qos_allocate
@@ -90,10 +91,10 @@ def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Regis
 # ---------------------------------------------------------------------------
 # Rule appliers
 #
-# An applier fires its rule on the consumed message, the client's instance and
-# the activity the receiver address names (None where there is none).  It
-# returns the instance's new snapshot (None: unchanged) and the messages the
-# rule emits; :func:`step` alone assembles the changed actors.
+# An applier fires its rule, once :func:`_match` has found that it fires, on
+# the consumed message, the client's instance and the activity the receiver
+# address names (None where there is none).  It refuses nothing: it returns the
+# instance's new snapshot (None: unchanged) and the messages the rule emits.
 
 def _ws_output_digest(inputs: Params | None) -> str:
     payload = json.dumps(params_dict(inputs or ()), sort_keys=True)
@@ -115,20 +116,13 @@ def _selector_registry(config: Configuration) -> Registry:
 
 
 def _apply_r1(config, message, instance, aa, selector):
-    workflow = _manager_workflow(config)
-    if message.ontology != workflow.ontology:
-        raise NoRuleError(
-            f"manager instantiates {workflow.ontology!r}, request asks for {message.ontology!r}"
-        )
-    if instance is not None:
-        raise NoRuleError(f"instance for client {message.client_id!r} already exists")
     request = WsoRequest(
         client_id=message.client_id,
         ontology=message.ontology,
         input_parameters=message.params or (),
         qos=message.qos,
     )
-    created = WsoInstance.create(request, workflow.activity_names())
+    created = WsoInstance.create(request, _manager_workflow(config).activity_names())
     select = build_message(
         MessageKind.SELECT, request.client_id, ontology=request.ontology, qos=request.qos
     )
@@ -136,8 +130,6 @@ def _apply_r1(config, message, instance, aa, selector):
 
 
 def _apply_r5(config, message, instance, aa, selector):
-    if instance is None:
-        raise NoRuleError(f"selection requested for unknown client {message.client_id!r}")
     result = selector(instance.request, _manager_workflow(config), _selector_registry(config))
     if result.granted:
         reply = build_message(
@@ -165,12 +157,6 @@ def _apply_r2a(config, message, instance, aa, selector):
 
 def _apply_r2b(config, message, instance, aa, selector):
     allocated = {binding.aa_name: binding for binding in message.assignment}
-    if len(allocated) != len(message.assignment) or set(allocated) != set(
-        instance.activity_names()
-    ):
-        raise NoRuleError(
-            f"selection reply for {message.client_id!r} does not cover the activity set"
-        )
     inputs = map_input_parameters(
         instance.request.input_parameters, instance.activity_names()
     )
@@ -236,8 +222,6 @@ def _apply_r7(config, message, instance, aa, selector):
 
 
 def _apply_r8(config, message, instance, aa, selector):
-    if not aa.ws.bound:
-        raise NoRuleError(f"activity {aa.aa_name!r} has no bound service")
     outputs = (("result", f"{aa.ws.endpoint}:{_ws_output_digest(message.params)}"),)
     reply = build_message(MessageKind.INVOKE_REPLY, message.client_id, aa.aa_name, params=outputs)
     return None, [reply]
@@ -246,53 +230,71 @@ def _apply_r8(config, message, instance, aa, selector):
 # ---------------------------------------------------------------------------
 # Rules
 #
-# The message kind fixes the rule, and the vocabulary fixes the receiver role
-# (:func:`receiver_role`).  Each kind's row names its rule, the applier that
-# fires it, and the receiver states it fires in (None: any).  A service has no
-# state: an invokeWs reads the state of the activity whose service it invokes.
-# Notify is the one kind with two rules: R4a when the notification completes
-# the instance, R4b otherwise.  Client-bound replies have no row; they are
-# delivered synchronously by :func:`step`.
+# The vocabulary fixes each kind's receiver role (:func:`receiver_role`).  A
+# kind's rows name the rules it may fire, each with its applier and its whole
+# condition ``fires(config, message, instance, activity)``; the first row that
+# fires is the rule.  An invokeWs fires while its activity is bound; notify
+# fires R4a when it completes the instance, else R4b.  Client-bound replies
+# have no rows; :func:`step` delivers them synchronously.
 
-_RULES: dict[MessageKind, tuple[RuleId, Callable, frozenset | None]] = {
-    MessageKind.WSO_REQUEST: (RuleId.R1_WSOIM_CREATE, _apply_r1, None),
-    MessageKind.SELECT: (RuleId.R5_SS_SELECT, _apply_r5, None),
+def _in(*states) -> Callable[..., bool]:
+    """Fires while the receiver is in one of states: the instance for
+    instance states, the activity for activity states."""
+    return lambda config, message, instance, aa: (
+        getattr(instance, "state", None) in states or getattr(aa, "state", None) in states
+    )
+
+
+def _creates(config, message, instance, aa) -> bool:
+    """R1: a request for the manager's ontology from a client with no instance."""
+    return message.ontology == _manager_workflow(config).ontology and instance is None
+
+
+def _covers(config, message, instance, aa) -> bool:
+    """R2b: the waiting instance is granted one binding per activity."""
+    names = [binding.aa_name for binding in message.assignment]
+    return (
+        getattr(instance, "state", None) is InstanceState.WAITING
+        and len(names) == len(set(names))
+        and set(names) == set(instance.activity_names())
+    )
+
+
+def _completes(config, message, instance, aa) -> bool:
+    """R4a: every activity of the servicing instance has returned, and no
+    other notification for the instance is pending."""
+    return (
+        getattr(instance, "state", None) is InstanceState.SERVICING
+        and all(a.state is ActivityState.RETURNED for a in instance.activities)
+        and not any(
+            m.kind is MessageKind.NOTIFY and m != message
+            for m in config.pending_to(instance_address(message.client_id))
+        )
+    )
+
+
+def _bound(config, message, instance, aa) -> bool:
+    return isinstance(getattr(aa, "state", None), ActivityState) and aa.ws.bound
+
+
+_RULES: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable[..., bool]], ...]] = {
+    MessageKind.WSO_REQUEST: ((RuleId.R1_WSOIM_CREATE, _apply_r1, _creates),),
+    MessageKind.SELECT: ((RuleId.R5_SS_SELECT, _apply_r5, _in(*InstanceState)),),
     MessageKind.SELECT_REPLY_DENIED: (
-        RuleId.R2A_SELECT_DENIED,
-        _apply_r2a,
-        frozenset({InstanceState.WAITING}),
+        (RuleId.R2A_SELECT_DENIED, _apply_r2a, _in(InstanceState.WAITING)),
     ),
-    MessageKind.SELECT_REPLY_GRANTED: (
-        RuleId.R2B_SELECT_GRANTED,
-        _apply_r2b,
-        frozenset({InstanceState.WAITING}),
-    ),
+    MessageKind.SELECT_REPLY_GRANTED: ((RuleId.R2B_SELECT_GRANTED, _apply_r2b, _covers),),
     MessageKind.INVOKE_ACK: (
-        RuleId.R3_INVOKE_ACK,
-        _apply_r3,
-        frozenset({InstanceState.GRANTED, InstanceState.SERVICING}),
+        (RuleId.R3_INVOKE_ACK, _apply_r3, _in(InstanceState.GRANTED, InstanceState.SERVICING)),
     ),
     MessageKind.NOTIFY: (
-        RuleId.R4A_NOTIFY_ALL_RETURNED,
-        _apply_r4a,
-        frozenset({InstanceState.SERVICING}),
+        (RuleId.R4A_NOTIFY_ALL_RETURNED, _apply_r4a, _completes),
+        (RuleId.R4B_NOTIFY_SOME_PENDING, _apply_r4b, _in(InstanceState.SERVICING)),
     ),
-    MessageKind.INVOKE: (RuleId.R6_AA_INVOKE, _apply_r6, frozenset({ActivityState.PREPARING})),
-    MessageKind.INVOKE_REPLY: (RuleId.R7_AA_RETURN, _apply_r7, frozenset({ActivityState.INVOKING})),
-    MessageKind.INVOKE_WS: (RuleId.R8_WS_INVOKE, _apply_r8, frozenset(ActivityState)),
+    MessageKind.INVOKE: ((RuleId.R6_AA_INVOKE, _apply_r6, _in(ActivityState.PREPARING)),),
+    MessageKind.INVOKE_REPLY: ((RuleId.R7_AA_RETURN, _apply_r7, _in(ActivityState.INVOKING)),),
+    MessageKind.INVOKE_WS: ((RuleId.R8_WS_INVOKE, _apply_r8, _bound),),
 }
-
-
-def _completion_ready(config: Configuration, message: Message, instance: WsoInstance) -> bool:
-    """True when this notification is the one that completes the instance:
-    every activity has returned and no other notification for the instance
-    is still pending."""
-    if any(aa.state is not ActivityState.RETURNED for aa in instance.activities):
-        return False
-    return not any(
-        m.kind is MessageKind.NOTIFY and m != message
-        for m in config.pending_to(instance_address(message.client_id))
-    )
 
 
 def _match(config: Configuration, message: Message):
@@ -301,20 +303,14 @@ def _match(config: Configuration, message: Message):
     instance = get_wsoi(config, message.client_id)
     activity = None if instance is None else get_aa(instance, address_aa_name(message.receiver))
     role = address_role(message.receiver)
+    if role is receiver_role(message.kind):
+        for rule, apply, fires in _RULES.get(message.kind, ()):
+            if fires(config, message, instance, activity):
+                return rule, apply, instance, activity
     state = getattr(instance if role is Role.INSTANCE else activity, "state", None)
-    rule, apply, states = _RULES.get(message.kind, (None, None, None))
-    if (
-        rule is None
-        or role is not receiver_role(message.kind)
-        or (states is not None and state not in states)
-    ):
-        raise NoRuleError(
-            f"no rule consumes {message.kind.value} at {message.receiver!r} "
-            f"(state {getattr(state, 'value', state)})"
-        )
-    if rule is RuleId.R4A_NOTIFY_ALL_RETURNED and not _completion_ready(config, message, instance):
-        return RuleId.R4B_NOTIFY_SOME_PENDING, _apply_r4b, instance, activity
-    return rule, apply, instance, activity
+    raise NoRuleError(
+        f"no rule consumes {message.kind.value} at {message.receiver!r} (state {state_text(state)})"
+    )
 
 
 def rule_for(config: Configuration, message: Message) -> RuleId:
@@ -323,8 +319,9 @@ def rule_for(config: Configuration, message: Message) -> RuleId:
 
 
 def enabled(config: Configuration) -> list[tuple[Message, RuleId]]:
-    """Every deliverable message paired with the unique rule it would fire,
-    in deterministic order."""
+    """Every deliverable message paired with the rule that :func:`step` fires
+    on it, in deterministic order.  A head that no rule consumes raises
+    NoRuleError, as it would in :func:`step`."""
     return [(message, rule_for(config, message)) for message in config.heads]
 
 

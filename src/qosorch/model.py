@@ -116,6 +116,11 @@ def activity_state_can_follow(current: ActivityState, nxt: ActivityState) -> boo
     return nxt in ACTIVITY_SUCCESSORS.get(current, ())
 
 
+def state_text(state) -> str:
+    """The name of a state, or the value that stands where a state should."""
+    return getattr(state, "value", state)
+
+
 # ---------------------------------------------------------------------------
 # Requests, activities, instances
 

@@ -92,6 +92,12 @@ BAD_CONTENT = {
         ((3, ("emitted", 1, "receiver")), "replace", "aa"),
         "violation message-vocabulary",
     ),
+    # Line 34 is the last transition, R4a: the completed instance's final
+    # snapshot keeps no activity to aggregate.
+    "completed-instance-without-activities": (
+        ((33, ("changed", 1, "after", "activities")), "replace", []),
+        "violation grant-feasibility trace=0: accepted instance 'c1' has no activities",
+    ),
 }
 
 
@@ -450,6 +456,7 @@ class TestCheck:
     @example(mutation=MALFORMED["changed-before-content-differs"][0])
     @example(mutation=BAD_CONTENT["seeded-request-without-qos"][0])
     @example(mutation=BAD_CONTENT["invoke-to-a-bare-role-prefix"][0])
+    @example(mutation=BAD_CONTENT["completed-instance-without-activities"][0])
     def test_mutated_golden_trace_never_crashes(self, mutation, tmp_path):
         path = tmp_path / "mutated.jsonl"
         write_mutated_golden(path, mutation)

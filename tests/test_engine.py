@@ -254,6 +254,18 @@ class TestRuleDeterminism:
                 for transition in trace.steps:
                     assert transition.rule in KIND_RULES[transition.message.kind]
 
+    @pytest.mark.parametrize(
+        "fixture", ["minimal_one", "minimal_two", "pair_one", "pair_two_denied", "pair_mixed"]
+    )
+    def test_rule_for_names_the_rule_step_fires(self, fixture, request):
+        fixture_set = request.getfixturevalue(fixture)
+        graph = explore_graph(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests, max_transitions=200
+        )
+        for config in graph.edges:
+            for message in config.heads:
+                assert rule_for(config, message) is step(config, message).rule
+
     def test_messages_without_a_rule_raise_no_rule_error(self, minimal_one):
         config = initial_configuration(
             minimal_one.workflow, minimal_one.registry, minimal_one.requests
@@ -280,16 +292,47 @@ class TestRuleDeterminism:
         )
         # A service invocation for an activity the instance does not have.
         unknown_service = build_message(MessageKind.INVOKE_WS, "c1", "missing", params=())
-        polluted = dataclasses.replace(
-            config, undelivered=config.undelivered + (reply, misrouted, unknown_service)
+        # Heads at their kind's receiver role that the rest of their rule's
+        # condition refuses: a selection for a client without an instance, a
+        # second request from a client that has one, a request for another
+        # ontology, a grant that does not cover the activity set, and a service
+        # invocation before the service is bound.
+        orphan_select = build_message(
+            MessageKind.SELECT, "c9", ontology=request.ontology, qos=request.qos
         )
-        for message in (reply, misrouted, unknown_service):
+        repeated_request = build_message(
+            MessageKind.WSO_REQUEST, "c1", ontology=request.ontology, qos=request.qos, params=()
+        )
+        other_ontology = build_message(
+            MessageKind.WSO_REQUEST, "c9", ontology="Other", qos=request.qos, params=()
+        )
+        partial_grant = build_message(MessageKind.SELECT_REPLY_GRANTED, "c1", assignment=())
+        aa_name = get_wsoi(config, "c1").activities[0].aa_name
+        unbound_service = build_message(MessageKind.INVOKE_WS, "c1", aa_name, params=())
+        refused = (
+            reply,
+            misrouted,
+            unknown_service,
+            orphan_select,
+            repeated_request,
+            other_ontology,
+            partial_grant,
+            unbound_service,
+        )
+        polluted = dataclasses.replace(config, undelivered=config.undelivered + refused)
+        for message in refused:
             with pytest.raises(NoRuleError):
                 rule_for(polluted, message)
             with pytest.raises(NoRuleError):
                 step(polluted, message)
         with pytest.raises(NoRuleError, match="'ws:c1:missing'"):
             step(polluted, unknown_service)
+        # enabled lists only what step takes, so it refuses the orphan select.
+        with_orphan = dataclasses.replace(
+            config, undelivered=config.undelivered + (orphan_select,)
+        )
+        with pytest.raises(NoRuleError, match=r"no rule consumes select at 'ss' \(state None\)"):
+            enabled(with_orphan)
 
 
 class TestRun:
