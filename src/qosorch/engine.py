@@ -250,6 +250,14 @@ def _creates(config, message, instance, aa) -> bool:
     return message.ontology == _manager_workflow(config).ontology and instance is None
 
 
+def _selects(config, message, instance, aa) -> bool:
+    """R5: a client with an instance, in a configuration with the manager
+    and the selector, whose workflow and registry the selection reads."""
+    _manager_workflow(config)
+    _selector_registry(config)
+    return isinstance(getattr(instance, "state", None), InstanceState)
+
+
 def _covers(config, message, instance, aa) -> bool:
     """R2b: the waiting instance is granted one binding per activity."""
     names = [binding.aa_name for binding in message.assignment]
@@ -279,7 +287,7 @@ def _bound(config, message, instance, aa) -> bool:
 
 _RULES: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable[..., bool]], ...]] = {
     MessageKind.WSO_REQUEST: ((RuleId.R1_WSOIM_CREATE, _apply_r1, _creates),),
-    MessageKind.SELECT: ((RuleId.R5_SS_SELECT, _apply_r5, _in(*InstanceState)),),
+    MessageKind.SELECT: ((RuleId.R5_SS_SELECT, _apply_r5, _selects),),
     MessageKind.SELECT_REPLY_DENIED: (
         (RuleId.R2A_SELECT_DENIED, _apply_r2a, _in(InstanceState.WAITING)),
     ),

@@ -7,6 +7,14 @@ self-contained: the trace record carries the full initial configuration
 transition record carries the consumed message, the emitted messages, and
 the changed actors with their before/after snapshots.  Field names are
 frozen in docs/FORMATS.md.
+
+The trace reader parses only what each transition adds.  Once a changed
+actor's ``before`` matches the source configuration, the parts of its
+``after`` that repeat ``before`` (an instance's request and activities, a
+client's received messages), and a consumed message that repeats a pending
+one, are taken from the source instead of parsed again.  The result equals
+a plain parse.  One memo per read or write call turns each actor and
+activity snapshot into its record once.
 """
 
 from __future__ import annotations
@@ -286,7 +294,9 @@ def _activity_from_record(record: dict) -> ActivityActor:
     )
 
 
-def actor_to_record(address: str, snapshot) -> dict:
+def actor_to_record(address: str, snapshot, activity_record=_activity_record) -> dict:
+    """An actor's record; an instance's activities are recorded by
+    activity_record."""
     if isinstance(snapshot, ManagerState):
         return {
             "address": address,
@@ -306,7 +316,7 @@ def actor_to_record(address: str, snapshot) -> dict:
             "request": request_to_record(snapshot.request),
             "state": snapshot.state.value,
             "output_parameters": _params_record(snapshot.output_parameters),
-            "activities": [_activity_record(aa) for aa in snapshot.activities],
+            "activities": [activity_record(aa) for aa in snapshot.activities],
         }
     if isinstance(snapshot, ClientRecord):
         return {
@@ -318,7 +328,44 @@ def actor_to_record(address: str, snapshot) -> dict:
     raise FormatError(f"cannot serialize actor snapshot {type(snapshot).__name__}")
 
 
-def actor_from_record(record: dict):
+def _exact(value) -> bool:
+    """Whether a JSON value holds no bool and no float: true and 1.0 equal 1
+    under ==, but the parse tells them apart."""
+    if type(value) is dict:
+        return all(map(_exact, value.values()))
+    if type(value) is list:
+        return all(map(_exact, value))
+    return type(value) is not bool and type(value) is not float
+
+
+def _same(record, canonical: dict) -> bool:
+    """Whether record parses to the object that canonical is the record of.
+    A canonical record parses, without error, to an object equal to the one
+    it records, and so does any record equal to it that holds no bool and
+    no float."""
+    return record == canonical and _exact(record)
+
+
+def _parse_shared(items, priors: Sequence, canonical: Sequence, parse) -> tuple:
+    """Each item parsed, except an item that is the same as the canonical
+    record of the prior at its position, which is that prior."""
+    return tuple(
+        priors[i] if i < len(canonical) and _same(item, canonical[i]) else parse(item)
+        for i, item in enumerate(items)
+    )
+
+
+def actor_from_record(record: dict, before=None, before_record: dict | None = None):
+    """An actor's (address, snapshot).
+
+    Given the snapshot ``before`` that the record replaces and its canonical
+    record ``before_record``, a part of an instance or client record that is
+    the same as the part of ``before_record`` at its place is taken from
+    ``before`` instead of parsed: the request, each activity by position,
+    and each received message by position.  Such a part parses without
+    error to an object equal to the one taken, so the snapshot, or the
+    error, is the one the plain parse gives.
+    """
     if not isinstance(record, dict):
         raise FormatError(f"expected an actor object, got {type(record).__name__}")
     kind = record.get("type")
@@ -332,28 +379,68 @@ def actor_from_record(record: dict):
             )
             return address, SelectorState(registry)
         if kind == "instance":
+            old = before if isinstance(before, WsoInstance) else None
+            request = record["request"]
+            if old is not None and _same(request, before_record["request"]):
+                request = old.request
+            else:
+                request = request_from_record(request)
             instance = WsoInstance(
-                request=request_from_record(record["request"]),
+                request=request,
                 state=InstanceState(record["state"]),
-                activities=tuple(
-                    _activity_from_record(item) for item in record["activities"]
+                activities=_parse_shared(
+                    record["activities"],
+                    () if old is None else old.activities,
+                    () if old is None else before_record["activities"],
+                    _activity_from_record,
                 ),
                 output_parameters=_params_value(record["output_parameters"]),
             )
             return address, instance
         if kind == "client":
+            old = before if isinstance(before, ClientRecord) else None
             return address, ClientRecord(
                 client_id=record["client_id"],
-                received=tuple(message_from_record(m) for m in record["received"]),
+                received=_parse_shared(
+                    record["received"],
+                    () if old is None else old.received,
+                    () if old is None else before_record["received"],
+                    message_from_record,
+                ),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad actor record: {exc}") from exc
     raise FormatError(f"unknown actor type {kind!r}")
 
 
-def config_to_record(config: Configuration) -> dict:
+class _RecordMemo:
+    """The canonical records of the actor and activity snapshots of one read
+    or write call, each built once per object.  Configurations share their
+    unchanged actors and instances their unchanged activities, so one
+    object stands in many snapshots.  Entries are keyed by identity and
+    hold their object, so no id is reused while the memo lives."""
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+
+    def activity(self, aa: ActivityActor) -> dict:
+        entry = self._entries.get(id(aa))
+        if entry is None:
+            entry = self._entries[id(aa)] = (aa, _activity_record(aa))
+        return entry[1]
+
+    def actor(self, address: str, snapshot) -> dict:
+        key = (address, id(snapshot))
+        entry = self._entries.get(key)
+        if entry is None:
+            record = actor_to_record(address, snapshot, self.activity)
+            entry = self._entries[key] = (snapshot, record)
+        return entry[1]
+
+
+def config_to_record(config: Configuration, actor_record=actor_to_record) -> dict:
     return {
-        "actors": [actor_to_record(address, snapshot) for address, snapshot in config.actors],
+        "actors": [actor_record(address, snapshot) for address, snapshot in config.actors],
         "undelivered": [message_to_record(m) for m in config.undelivered],
     }
 
@@ -375,7 +462,7 @@ def config_from_record(record: dict) -> Configuration:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
 
-def _transition_body(transition: Transition) -> dict:
+def _transition_body(transition: Transition, actor_record=actor_to_record) -> dict:
     """The fields of a transition record that depend on the transition alone."""
     return {
         "consumed": message_to_record(transition.message),
@@ -383,8 +470,8 @@ def _transition_body(transition: Transition) -> dict:
         "changed": [
             {
                 "address": address,
-                "before": None if before is None else actor_to_record(address, before),
-                "after": None if after is None else actor_to_record(address, after),
+                "before": None if before is None else actor_record(address, before),
+                "after": None if after is None else actor_record(address, after),
             }
             for address, before, after in transition.source.changes(transition.target)
         ],
@@ -408,8 +495,9 @@ def transition_to_record(trace_index: int, index: int, transition: Transition) -
     }
 
 
-def _trace_header(trace: Trace, trace_index: int) -> dict:
-    return {"record": "trace", "trace": trace_index, "initial": config_to_record(trace.initial)}
+def _trace_header(trace: Trace, trace_index: int, actor_record=actor_to_record) -> dict:
+    initial = config_to_record(trace.initial, actor_record)
+    return {"record": "trace", "trace": trace_index, "initial": initial}
 
 
 def trace_to_records(trace: Trace, trace_index: int = 0) -> list[dict]:
@@ -421,22 +509,38 @@ def trace_to_records(trace: Trace, trace_index: int = 0) -> list[dict]:
     return records
 
 
-def _apply_transition_record(config: Configuration, record: dict) -> Transition:
-    consumed = message_from_record(record["consumed"])
+def _consumed(config: Configuration, record) -> Message:
+    """The message a `consumed` record names: the first message pending on
+    its channel whose canonical record it is the same as, else the record
+    parsed."""
+    if isinstance(record, dict):
+        sender, receiver = record.get("sender"), record.get("receiver")
+        if isinstance(sender, str) and isinstance(receiver, str):
+            for message in config.channel(sender, receiver):
+                if _same(record, message_to_record(message)):
+                    return message
+    return message_from_record(record)
+
+
+def _apply_transition_record(
+    config: Configuration, record: dict, records: _RecordMemo
+) -> Transition:
+    consumed = _consumed(config, record["consumed"])
     emitted = tuple(message_from_record(item) for item in record["emitted"])
     rule = RuleId(record["rule"])
     changed: dict[str, object] = {}  # address -> snapshot, None when removed
     for change in record["changed"]:
         address = _text(change, "address")
         prior = config.actor(address)
-        if change["before"] != (None if prior is None else actor_to_record(address, prior)):
+        canonical = None if prior is None else records.actor(address, prior)
+        if change["before"] != canonical:
             raise FormatError(
                 f"changed actor {address!r}: 'before' differs from the source's snapshot"
             )
         if change["after"] is None:
             changed[address] = None
             continue
-        after_address, changed[address] = actor_from_record(change["after"])
+        after_address, changed[address] = actor_from_record(change["after"], prior, canonical)
         if after_address != address:
             raise FormatError(f"changed actor {address!r}: 'after' is at {after_address!r}")
     target = config.advance(consumed, changed, emitted)
@@ -478,6 +582,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
             raise error(line, f"{where}: trace index {index!r} is not an integer")
         return index
 
+    records = _RecordMemo()
     # trace index -> (line, initial, steps so far, held records by transition index)
     by_trace: dict[int, tuple[int | None, Configuration, list[Transition], dict[int, tuple]]] = {}
     for line, record in numbered:
@@ -508,7 +613,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
                 next_line, next_record = held.pop(len(steps))
                 config = steps[-1].target if steps else initial
                 try:
-                    steps.append(_apply_transition_record(config, next_record))
+                    steps.append(_apply_transition_record(config, next_record, records))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise error(next_line, f"trace {index}, transition {len(steps)}: {exc}") from exc
 
@@ -531,13 +636,14 @@ def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
     share is serialized once per call; only its placement differs."""
     uses = Counter(id(transition) for trace in traces for transition in trace.steps)
     bodies: dict[int, str] = {}  # id(shared transition) -> its body's JSON, without the "}"
+    records = _RecordMemo()
     with Path(path).open("w", encoding="utf-8") as out:
         for trace_index, trace in enumerate(traces):
-            out.write(_dump_line(_trace_header(trace, trace_index)) + "\n")
+            out.write(_dump_line(_trace_header(trace, trace_index, records.actor)) + "\n")
             for index, transition in enumerate(trace.steps):
                 body = bodies.get(id(transition))
                 if body is None:
-                    body = _dump_line(_transition_body(transition))[:-1]
+                    body = _dump_line(_transition_body(transition, records.actor))[:-1]
                     if uses[id(transition)] > 1:
                         bodies[id(transition)] = body
                 # Every body key sorts before every place key, so the two

@@ -536,10 +536,11 @@ _ROLE_SNAPSHOT_TYPES: dict[Role, type] = {
 
 # Orders over messages, as C-level getters so that bisecting a message tuple
 # calls no Python code: a channel is (receiver, sender), and deliverable
-# messages list by Message.sort_key.
+# messages list by Message.sort_key.  An enum member's ``value`` is a property
+# written in Python; ``_value_`` is the plain attribute that holds it.
 _CHANNEL = attrgetter("receiver", "sender")
 _RECEIVER = attrgetter("receiver")
-_SORT_KEY = attrgetter("kind.value", "sender", "receiver", "client_id")
+_SORT_KEY = attrgetter("kind._value_", "sender", "receiver", "client_id")
 _ADDRESS = itemgetter(0)
 
 
@@ -738,17 +739,23 @@ def resolvable_addresses(address: str, snapshot: ActorSnapshot) -> list[str]:
 
 
 def resolves(config: Configuration, address: str) -> bool:
-    """Whether some actor of config makes address resolvable.  Only one
-    actor can: an activity or service address's instance, found from the
-    client id it embeds, and for any other address the actor at it."""
-    owner = address
-    if address_role(address) in (Role.ACTIVITY, Role.SERVICE):
-        client_id = address_client_id(address)
-        if client_id is None:
-            return False
-        owner = instance_address(client_id)
-    snapshot = config.actor(owner)
-    return snapshot is not None and address in resolvable_addresses(owner, snapshot)
+    """Whether some actor of config makes address resolvable (see
+    :func:`resolvable_addresses`), read from the one actor that can: for an
+    activity or service address, the instance of the client id it embeds,
+    which must have an activity of the name it ends in, bound for a service
+    address; for any other address, an actor at it of a role that holds a
+    snapshot."""
+    role = address_role(address)
+    if role not in (Role.ACTIVITY, Role.SERVICE):
+        return role in _ROLE_SNAPSHOT_TYPES and config.actor(address) is not None
+    parts = address.split(":", 2)
+    if len(parts) < 3:
+        return False
+    instance = config.actor(instance_address(parts[1]))
+    return isinstance(instance, WsoInstance) and any(
+        f"{aa.aa_name}" == parts[2] and (role is Role.ACTIVITY or aa.ws.bound)
+        for aa in instance.activities
+    )
 
 
 # ---------------------------------------------------------------------------

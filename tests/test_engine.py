@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import support
 from qosorch import engine
 from qosorch.engine import (
+    EngineError,
     MessageNotPendingError,
     NoRuleError,
     NotDeliverableError,
@@ -28,6 +29,7 @@ from qosorch.model import (
     QoSSpec,
     RuleId,
     SS_ADDRESS,
+    WSOIM_ADDRESS,
     WsoRequest,
     build_message,
     client_address,
@@ -333,6 +335,32 @@ class TestRuleDeterminism:
         )
         with pytest.raises(NoRuleError, match=r"no rule consumes select at 'ss' \(state None\)"):
             enabled(with_orphan)
+
+
+    @pytest.mark.parametrize(
+        "missing,actor", [(SS_ADDRESS, "service selector"), (WSOIM_ADDRESS, "instance manager")]
+    )
+    def test_a_select_without_the_actors_it_reads_fails_in_enabled_as_in_step(
+        self, minimal_one, missing, actor
+    ):
+        config = initial_configuration(
+            minimal_one.workflow, minimal_one.registry, minimal_one.requests
+        )
+        config, _ = step_by_kinds(config, [MessageKind.WSO_REQUEST])
+        (select,) = config.heads
+        assert select.kind is MessageKind.SELECT
+        stripped = Configuration(
+            actors=tuple(pair for pair in config.actors if pair[0] != missing),
+            undelivered=config.undelivered,
+        )
+        for call in (
+            lambda: enabled(stripped),
+            lambda: rule_for(stripped, select),
+            lambda: step(stripped, select),
+        ):
+            with pytest.raises(EngineError, match=f"missing the {actor}$") as raised:
+                call()
+            assert type(raised.value) is EngineError
 
 
 class TestRun:

@@ -1,11 +1,14 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qosorch import cli, engine, formats
 from qosorch.conformance import Violation, check_behavior
-from qosorch.model import MessageKind, QoSSpec, WsoRequest
+from qosorch.model import ClientRecord, MessageKind, QoSSpec, WsoInstance, WsoRequest
 
 from test_model import sample_message
 
@@ -157,6 +160,169 @@ class TestTraceFiles:
         formats.write_traces([trace], a)
         formats.write_traces([trace], b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The reader shares with the verified `before` what `after` repeats of it.
+
+def outcome(parse, record, *prior):
+    """What a parse of record gives: its result, or the FormatError text."""
+    try:
+        return "parsed", parse(record, *prior)
+    except formats.FormatError as exc:
+        return "error", str(exc)
+
+
+def transition_cases(path):
+    """(source configuration, transition record) for each transition record
+    of a trace file, the source taken from the file as read."""
+    traces = formats.read_traces(path)
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["record"] == "transition":
+            yield traces[record["trace"]].steps[record["index"]].source, record
+
+
+def actor_cases(path):
+    """(after, prior snapshot, prior's record) for each changed entry of a
+    trace file that sets an `after` where the source holds an actor."""
+    for source, record in transition_cases(path):
+        for change in record["changed"]:
+            prior = source.actor(change["address"])
+            if change["after"] is not None and prior is not None:
+                yield change["after"], prior, formats.actor_to_record(change["address"], prior)
+
+
+@pytest.fixture(scope="module")
+def sharing_corpus(tmp_path_factory, golden_dir, minimal_two, pair_two_denied, pair_mixed):
+    """The trace files the sharing reader is checked on: both golden traces,
+    multi-client runs at several seeds, and the explored traces of two denied
+    pair requests."""
+    folder = tmp_path_factory.mktemp("sharing")
+    paths = sorted(golden_dir.glob("*.jsonl"))
+    for name, fixture_set in (
+        ("minimal-two", minimal_two),
+        ("pair-two-denied", pair_two_denied),
+        ("pair-mixed", pair_mixed),
+    ):
+        for seed in range(4):
+            trace = engine.run(fixture_set.workflow, fixture_set.registry, fixture_set.requests, seed)
+            paths.append(folder / f"{name}-{seed}.jsonl")
+            formats.write_traces([trace], paths[-1])
+    explored = engine.explore(
+        pair_two_denied.workflow,
+        pair_two_denied.registry,
+        pair_two_denied.requests,
+        max_transitions=200,
+    )
+    paths.append(folder / "pair-two-denied-explored.jsonl")
+    formats.write_traces(explored, paths[-1])
+    return paths
+
+
+def json_paths(value, prefix=()):
+    """The path of every node of a JSON value, the value's own first."""
+    yield prefix
+    children = ()
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+# Replacements for a node: each JSON type, state names, and the values
+# that equal an integer under == without being one.
+REPLACEMENTS = [None, True, False, 0, 1, 1.0, 11.0, -1, "", "x", "Returned", "c1", [], {}, [{}]]
+
+
+@st.composite
+def mutated(draw, record):
+    """A copy of record with one node deleted, duplicated, replaced by
+    another JSON value, or, for an integer, by the float it equals."""
+    record = copy.deepcopy(record)
+    path = draw(st.sampled_from(list(json_paths(record))[1:]))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    operation = draw(st.sampled_from(["delete", "duplicate", "replace", "retype"]))
+    if operation == "delete":
+        del parent[key]
+    elif operation == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif operation == "retype" and type(parent[key]) is int:
+        parent[key] = float(parent[key])
+    else:
+        parent[key] = draw(st.sampled_from(REPLACEMENTS))
+    return record
+
+
+class TestSharingReader:
+    def test_each_after_reads_as_its_plain_parse(self, sharing_corpus):
+        shared = 0
+        for path in sharing_corpus:
+            for after, prior, canonical in actor_cases(path):
+                kind, read = outcome(formats.actor_from_record, after, prior, canonical)
+                assert (kind, read) == outcome(formats.actor_from_record, after)
+                assert kind == "parsed"
+                snapshot = read[1]
+                # A part is shared exactly where its record repeats the prior's.
+                parts = []
+                if isinstance(snapshot, WsoInstance) and isinstance(prior, WsoInstance):
+                    parts.append(
+                        (snapshot.request, prior.request, after["request"], canonical["request"])
+                    )
+                    parts.extend(
+                        zip(
+                            snapshot.activities,
+                            prior.activities,
+                            after["activities"],
+                            canonical["activities"],
+                        )
+                    )
+                elif isinstance(snapshot, ClientRecord) and isinstance(prior, ClientRecord):
+                    parts.extend(
+                        zip(snapshot.received, prior.received, after["received"], canonical["received"])
+                    )
+                for new, old, record, old_record in parts:
+                    assert (new is old) == (record == old_record)
+                    shared += new is old
+        assert shared > 300
+
+    def test_each_consumed_message_is_the_pending_one_it_records(self, sharing_corpus):
+        for path in sharing_corpus:
+            for source, record in transition_cases(path):
+                message = formats._consumed(source, record["consumed"])
+                assert message == formats.message_from_record(record["consumed"])
+                assert any(message is pending for pending in source.undelivered)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_after_reads_as_its_plain_parse(self, sharing_corpus, data):
+        path = data.draw(st.sampled_from(sharing_corpus))
+        after, prior, canonical = data.draw(st.sampled_from(list(actor_cases(path))))
+        after = data.draw(mutated(after))
+        assert outcome(formats.actor_from_record, after, prior, canonical) == outcome(
+            formats.actor_from_record, after
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_consumed_message_reads_as_its_plain_parse(self, sharing_corpus, data):
+        path = data.draw(st.sampled_from(sharing_corpus))
+        source, record = data.draw(st.sampled_from(list(transition_cases(path))))
+        consumed = data.draw(mutated(record["consumed"]))
+        assert outcome(lambda r: formats._consumed(source, r), consumed) == outcome(
+            formats.message_from_record, consumed
+        )
+
+    def test_write_read_write_is_byte_identical(self, sharing_corpus, tmp_path):
+        for path in sharing_corpus:
+            again = tmp_path / path.name
+            formats.write_traces(formats.read_traces(path), again)
+            assert again.read_bytes() == path.read_bytes(), path.name
 
 
 def test_violation_records():

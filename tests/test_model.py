@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qosorch import engine
 from qosorch.model import (
     ACTIVITY_SUCCESSORS,
+    ActivityActor,
     ActivityState,
     ClientRecord,
     Configuration,
@@ -205,27 +206,66 @@ class TestAddresses:
         fixture_set = request.getfixturevalue(name)
         trace = engine.run(fixture_set.workflow, fixture_set.registry, fixture_set.requests, seed)
         config = trace.configurations()[min(prefix, len(trace))]
-        resolvable = {
-            resolved
-            for address, snapshot in config.actors
-            for resolved in resolvable_addresses(address, snapshot)
-        }
-        # Pool and actor addresses, bare prefixes, foreign client ids, client
-        # ids that contain ':', and activity and service addresses whether
-        # bound or not.
-        candidates = {address for address, _ in config.actors}
-        for message in config.undelivered:
-            candidates |= {message.sender, message.receiver}
-        candidates |= {"aa", "ws", "ca", "wsoi", "aa:", "bogus:c1"}
-        client_ids = {address_client_id(address) for address in candidates} - {None}
-        names = fixture_set.workflow.activity_names()
-        for client_id in client_ids | {"zz"} | {f"{cid}:{n}" for cid in client_ids for n in names}:
-            candidates |= {client_address(client_id), instance_address(client_id)}
-            for aa_name in names:
-                candidates.add(activity_address(client_id, aa_name))
-                candidates.add(service_address(client_id, aa_name))
-        for address in candidates:
-            assert resolves(config, address) == (address in resolvable), address
+        assert_resolves_as_listed(config, fixture_set.workflow.activity_names())
+
+    def test_resolves_as_listed_in_every_configuration_of_the_explored_corpora(
+        self, explored_corpora, minimal_one
+    ):
+        names = minimal_one.workflow.activity_names()
+        seen = set()
+        for traces in explored_corpora.sets.values():
+            for trace in traces:
+                for config in trace.configurations():
+                    if id(config) not in seen:
+                        seen.add(id(config))
+                        assert_resolves_as_listed(config, names)
+        assert len(seen) > 100
+
+    def test_resolves_as_listed_for_forged_snapshots(self):
+        bound = WsBinding("c1", 5, "svc-1", QoSSpec(1, 1))
+        odd = ActivityActor(5, "c1", None, None, None, ActivityState.INVOKING, bound)
+        plain = ActivityActor.initial("A:B", "c1")
+        instance = WsoInstance(make_request(), InstanceState.SERVICING, (odd, plain))
+        config = Configuration(
+            actors=(
+                (instance_address("c1"), instance),
+                # An instance at the empty client id, and snapshots of the wrong type.
+                (instance_address(""), dataclasses.replace(instance, activities=(plain,))),
+                (instance_address("c2"), ClientRecord("c2")),
+                (client_address("c3"), instance),
+                ("bogus:x", ClientRecord("x")),
+            )
+        )
+        assert_resolves_as_listed(
+            config,
+            ("A", "A:B", "5", 5),
+            extra={"aa:c1", "ws:c1", "aa:c1:", "aa:c1:5", "ws:c1:5", "aa::A:B", "aa:", "bogus:x"},
+        )
+        assert resolves(config, "ws:c1:5") and not resolves(config, "ws:c1:A:B")
+
+
+def assert_resolves_as_listed(config, names, extra=()) -> None:
+    """resolves agrees with membership in the addresses some actor lists,
+    over the pool and actor addresses, bare prefixes, foreign client ids,
+    client ids that contain ':', and the activity and service addresses of
+    every client id and activity name, whether bound or not."""
+    resolvable = {
+        resolved
+        for address, snapshot in config.actors
+        for resolved in resolvable_addresses(address, snapshot)
+    }
+    candidates = {address for address, _ in config.actors} | set(extra)
+    for message in config.undelivered:
+        candidates |= {message.sender, message.receiver}
+    candidates |= {"aa", "ws", "ca", "wsoi", "aa:", "bogus:c1"}
+    client_ids = {address_client_id(address) for address in candidates} - {None}
+    for client_id in client_ids | {"zz"} | {f"{cid}:{n}" for cid in client_ids for n in names}:
+        candidates |= {client_address(client_id), instance_address(client_id)}
+        for aa_name in names:
+            candidates.add(activity_address(client_id, aa_name))
+            candidates.add(service_address(client_id, aa_name))
+    for address in candidates:
+        assert resolves(config, address) == (address in resolvable), address
 
 
 def sample_message(kind: MessageKind) -> Message:
