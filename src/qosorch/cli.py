@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         f"or to report violations (default {engine.DEFAULT_MAX_TRACES})",
     )
 
-    check_p = sub.add_parser("check", help="replay and check a written trace file")
+    check_p = sub.add_parser("check", help="check a written trace file against the three layers")
     check_p.add_argument("trace_file", help="trace file produced by run or explore")
     return parser
 

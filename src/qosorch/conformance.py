@@ -4,8 +4,11 @@ The layers refine each other:
 
 * behavior  -- every snapshot is well-formed, every message belongs to the
                closed vocabulary, every pending message's addresses
-               resolve, and every transition is reproducible by re-applying
-               the rule engine;
+               resolve, and every transition is in the rule relation: it
+               consumes the head of a channel under the one rule R1-R8
+               whose condition holds, changes only the actor that rule may
+               change, as the rule changes it, and emits exactly the
+               messages the rule emits;
 * system    -- instances are created by R1 alone with field-exact
                snapshots, requests and activity sets stay constant, states
                move monotonically, denied instances stay unbound, bindings
@@ -24,18 +27,23 @@ one pass.  A checker takes a trace set or a configuration graph from
 ``engine.explore_graph``, which stands for its maximal paths: the facts then
 come from its edges and terminal nodes, and the paths are listed only to
 place violations.  Checkers re-derive everything from the configurations
-themselves; they never trust engine annotations.  The selection oracle here
-is intentionally a separate implementation from the selector the engine
-uses.
+themselves; they never trust engine annotations and never run the engine.
+The rule relation here states the rules apart from the engine's rule table,
+and the selection oracle is a separate implementation from the selector the
+engine uses.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
-from . import engine as engine_mod
+from .engine import ConfigurationGraph
 from .model import (
     ActivityState,
     ClientRecord,
@@ -45,6 +53,7 @@ from .model import (
     Message,
     MessageKind,
     QoSSpec,
+    Role,
     RuleId,
     SS_ADDRESS,
     SelectorState,
@@ -52,19 +61,26 @@ from .model import (
     Transition,
     WSOIM_ADDRESS,
     WsoInstance,
+    WsoRequest,
+    activity_address,
     activity_state_can_follow,
+    address_aa_name,
+    address_role,
     client_address,
+    get_aa,
     get_wsoi,
     instance_address,
     instance_state_can_follow,
     message_schema_error,
+    receiver_role,
     resolvable_addresses,
     resolves,
+    service_address,
     snapshot_error,
     state_text,
 )
 from .registry import Registry
-from .selection import AllocationResult
+from .selection import map_input_parameters, map_output_parameters
 
 # Property identifiers cited by violations.
 P_STATE_DOMAIN = "state-domain"
@@ -129,7 +145,7 @@ _EMPTY = Configuration(actors=())
 
 # What the checkers take: a trace set, or a configuration graph standing for
 # the set of its maximal paths.
-Checked = Sequence[Trace] | engine_mod.ConfigurationGraph
+Checked = Sequence[Trace] | ConfigurationGraph
 
 
 def _transitions(trace: Trace):
@@ -155,7 +171,7 @@ def _distinct(checked: Checked, places) -> dict:
     yields over the traces of a trace set, each object with the initial
     configuration of its trace, or over the paths of a graph: its initial
     configuration and edges, or its terminal nodes."""
-    if isinstance(checked, engine_mod.ConfigurationGraph):
+    if isinstance(checked, ConfigurationGraph):
         edges = (edge for out in checked.edges.values() for edge in out)
         objects = checked.terminals if places is _final else (checked.initial, *edges)
         pairs = ((checked.initial, place) for place in objects)
@@ -183,7 +199,7 @@ def _stamp(checked: Checked, *judges) -> Verdict:
     ]
     if not any(notes for memo in memos for notes in memo.values()):
         return Verdict.from_violations(())
-    traces = checked.traces() if isinstance(checked, engine_mod.ConfigurationGraph) else checked
+    traces = checked.traces() if isinstance(checked, ConfigurationGraph) else checked
 
     def emitted_at(trace: Trace, message: Message) -> int | None:
         return next((i for i, t in enumerate(trace.steps) if message in t.emitted), None)
@@ -202,51 +218,32 @@ def _stamp(checked: Checked, *judges) -> Verdict:
 # ---------------------------------------------------------------------------
 # Behavior layer
 
-def _replay_selector(emitted: Sequence[Message]):
-    """A selector that reproduces the decision recorded in a selection's
-    emitted messages."""
-
-    def selector(_request, _workflow, _registry) -> AllocationResult:
-        if len(emitted) != 1 or emitted[0].kind not in (
-            MessageKind.SELECT_REPLY_GRANTED,
-            MessageKind.SELECT_REPLY_DENIED,
-        ):
-            raise ValueError("selection must emit exactly one reply")
-        reply = emitted[0]
-        if reply.kind is MessageKind.SELECT_REPLY_DENIED:
-            return AllocationResult(granted=False)
-        return AllocationResult(granted=True, per_activity=reply.assignment or ())
-
-    return selector
-
-
 def _may_lose(before, after) -> bool:
     """Whether replacing a snapshot can take away an address it resolved:
     only removing the actor, or an instance losing an activity or a bound
-    service, can (see :func:`resolvable_addresses`)."""
+    service, can (see :func:`resolvable_addresses`).  Activities are
+    compared by position, so a reordering also counts as a possible loss."""
     if after is None:
         return True
     if not isinstance(before, WsoInstance):
         return False
     if not isinstance(after, WsoInstance):
         return True
-    if after.activities is before.activities:
-        return False
-    kept = {aa.aa_name: aa.ws.bound for aa in after.activities}
-    return any(
-        aa.aa_name not in kept or (aa.ws.bound and not kept[aa.aa_name])
-        for aa in before.activities
+    return len(after.activities) < len(before.activities) or any(
+        b is not a and (b.aa_name != a.aa_name or (b.ws.bound and not a.ws.bound))
+        for b, a in zip(before.activities, after.activities)
     )
 
 
 def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
     """(property, witness) for the snapshots and messages a transition
     introduces, for the pending addresses it leaves unresolvable, and for a
-    rule application the engine does not reproduce."""
+    transition the rule relation does not hold of."""
     source, target, transition = _change(place)
     notes: list[tuple[str, str]] = []
     lost: set[str] = set()  # addresses resolvable in the source only
-    for address, before, after in source.changes(target):
+    changes = source.changes(target)
+    for address, before, after in changes:
         if before is not None and _may_lose(before, after):
             kept = () if after is None else resolvable_addresses(address, after)
             lost.update(a for a in resolvable_addresses(address, before) if a not in kept)
@@ -286,46 +283,315 @@ def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
         witness = f"{message.kind.value} references unresolvable address {address!r}"
         notes.append((P_MESSAGE_VOCABULARY, witness))
     if transition is not None:
-        notes.extend(_replay_notes(transition))
+        notes.extend(_relation_notes(transition, changes))
     return notes
 
 
-def _replay_notes(transition: Transition) -> list[tuple[str, str]]:
-    """(property, witness) for a transition the rule engine does not
-    reproduce."""
-    selector = None
-    if transition.rule is RuleId.R5_SS_SELECT:
-        selector = _replay_selector(transition.emitted)
-    try:
-        replayed = engine_mod.step(transition.source, transition.message, selector=selector)
-    except engine_mod.MessageNotPendingError:
-        return [(P_RULE_REPLAY, "consumed message was not pending")]
-    except engine_mod.NotDeliverableError:
-        return [(P_DELIVERY_ORDER, "consumed message overtook an older one on its channel")]
-    except Exception as exc:  # corrupted data can break replay anywhere
-        return [(P_RULE_REPLAY, f"replay failed: {exc}")]
-    notes = []
-    if replayed.rule is not transition.rule:
-        notes.append(
-            (
-                P_RULE_REPLAY,
-                f"recorded rule {transition.rule.value}, replay fired {replayed.rule.value}",
-            )
+# The rule relation: each rule R1-R8 as one row, from the rules as the table
+# in README.md states them: the rule, its whole condition and its effect.
+# The condition reads the state of the receiver that the vocabulary
+# addresses its kind to, and anything else the rule reads.  The effect gives
+# the new snapshot of the one actor the rule may change, the client's
+# instance (None: unchanged), and the messages the rule must emit.  Both
+# take the transition, the client's instance and the activity that an
+# activity or service receiver names (else None).  The first row of a kind
+# whose condition holds is the rule; only notify has two rows.
+
+class _Like:
+    """A pattern equal to every object of one dataclass type whose fields
+    hold the given values, which may be patterns in turn: an effect states a
+    snapshot or a message by its fields, compared without building either."""
+
+    __slots__ = ("type", "fields")
+
+    def __init__(self, type_: type, fields: dict) -> None:
+        self.type, self.fields = type_, fields
+
+    def __eq__(self, other) -> bool:
+        return type(other) is self.type and vars(other) == self.fields
+
+
+def _with(snapshot, **fields) -> _Like:
+    return _Like(type(snapshot), {**vars(snapshot), **fields})
+
+
+def _activity_with(instance: WsoInstance, aa, **fields) -> _Like:
+    changed = _with(aa, **fields)
+    return _with(instance, activities=tuple(changed if a is aa else a for a in instance.activities))
+
+
+_NO_PAYLOAD = dict.fromkeys(("ontology", "qos", "params", "assignment", "aa_name", "aa_state"))
+
+
+def _message(kind: MessageKind, sender: str, receiver: str, cid: str, **payload) -> _Like:
+    """The message of kind from sender to receiver for client cid, with no
+    payload fields but those given."""
+    fields = {"kind": kind, "sender": sender, "receiver": receiver, "client_id": cid}
+    return _Like(Message, {**_NO_PAYLOAD, **fields, **payload})
+
+
+def _reply(kind: MessageKind, instance: WsoInstance, **payload) -> _Like:
+    """A reply to the instance's client, restating the request's ontology and QoS."""
+    cid, request = instance.client_id, instance.request
+    return _message(
+        kind, instance_address(cid), client_address(cid), cid,
+        ontology=request.ontology, qos=request.qos, **payload,
+    )
+
+
+def _in(*states) -> Callable[..., bool]:
+    """The receiver, the named activity or else the instance, is in one of states."""
+    return lambda t, instance, aa: getattr(instance if aa is None else aa, "state", None) in states
+
+
+def _creates(t, instance, aa) -> bool:
+    """R1: the manager's workflow has the requested ontology, and the client
+    has no instance yet."""
+    manager = t.source.actor(WSOIM_ADDRESS)
+    return (
+        instance is None
+        and isinstance(manager, ManagerState)
+        and manager.workflow.ontology == t.message.ontology
+    )
+
+
+def _r1(t, instance, aa):
+    """A Waiting instance of the request with one initial activity per
+    workflow activity; a selection request with the request's ontology and QoS."""
+    m, cid = t.message, t.message.client_id
+    request = WsoRequest(cid, m.ontology, m.params or (), m.qos)
+    created = WsoInstance.create(request, t.source.actor(WSOIM_ADDRESS).workflow.activity_names())
+    select = _message(
+        MessageKind.SELECT, instance_address(cid), SS_ADDRESS, cid, ontology=m.ontology, qos=m.qos
+    )
+    return created, (select,)
+
+
+def _selects(t, instance, aa) -> bool:
+    """R5: the selector, with its registry, serves a client that has an instance."""
+    return instance is not None and isinstance(t.source.actor(SS_ADDRESS), SelectorState)
+
+
+def _r5(t, instance, aa):
+    """No change; one reply to the instance with the selector's decision as
+    recorded: a grant with its bindings, or else a denial."""
+    cid, emitted = t.message.client_id, t.emitted
+    if len(emitted) == 1 and emitted[0].kind is MessageKind.SELECT_REPLY_GRANTED:
+        kind, payload = emitted[0].kind, {"assignment": emitted[0].assignment}
+    else:
+        kind, payload = MessageKind.SELECT_REPLY_DENIED, {}
+    return None, (_message(kind, SS_ADDRESS, instance_address(cid), cid, **payload),)
+
+
+def _r2a(t, instance, aa):
+    """Denied; the denied reply."""
+    denied = _with(instance, state=InstanceState.DENIED)
+    return denied, (_reply(MessageKind.DENIED_REPLY, instance),)
+
+
+def _covers(t, instance, aa) -> bool:
+    """R2b: the grant binds each activity of the waiting instance once."""
+    names = sorted(binding.aa_name for binding in t.message.assignment or ())
+    return (
+        getattr(instance, "state", None) is InstanceState.WAITING
+        and names == sorted(instance.activity_names())
+    )
+
+
+def _r2b(t, instance, aa):
+    """Granted, each activity bound to its binding's candidate at its QoS
+    and given the inputs routed to it from the request; the granted reply,
+    then an invocation of each activity in order."""
+    cid, bound = t.message.client_id, {b.aa_name: b for b in t.message.assignment}
+    inputs = map_input_parameters(instance.request.input_parameters, instance.activity_names())
+    activities = tuple(
+        _with(
+            a,
+            qos=b.qos,
+            input_parameters=inputs[a.aa_name],
+            ws=_with(a.ws, endpoint=b.candidate_id, advertised_qos=b.qos),
         )
-    if replayed.emitted != transition.emitted:
-        notes.append((P_RULE_REPLAY, "emitted messages differ from replay"))
-    if replayed.target != transition.target:
-        notes.append((P_RULE_REPLAY, "target configuration differs from replay"))
+        for a in instance.activities
+        for b in (bound[a.aa_name],)
+    )
+    invokes = (
+        _message(MessageKind.INVOKE, instance_address(cid), activity_address(cid, a.aa_name), cid)
+        for a in instance.activities
+    )
+    granted = _with(instance, state=InstanceState.GRANTED, activities=activities)
+    return granted, (_reply(MessageKind.GRANTED_REPLY, instance), *invokes)
+
+
+def _r3(t, instance, aa):
+    """Servicing; nothing emitted."""
+    return _with(instance, state=InstanceState.SERVICING), ()
+
+
+def _completes(t, instance, aa) -> bool:
+    """R4a: every activity of the servicing instance has returned its
+    outputs, and no other notification for the instance is pending."""
+    return (
+        getattr(instance, "state", None) is InstanceState.SERVICING
+        and all(
+            a.state is ActivityState.RETURNED and a.output_parameters is not None
+            for a in instance.activities
+        )
+        and not any(
+            m.kind is MessageKind.NOTIFY and m != t.message
+            for m in t.source.pending_to(t.message.receiver)
+        )
+    )
+
+
+def _r4a(t, instance, aa):
+    """Completed with the activities' outputs, each key prefixed with its
+    activity's name; the completed reply carrying them."""
+    outputs = map_output_parameters({a.aa_name: a.output_parameters for a in instance.activities})
+    completed = _with(instance, state=InstanceState.COMPLETED, output_parameters=outputs)
+    return completed, (_reply(MessageKind.COMPLETED_REPLY, instance, params=outputs),)
+
+
+def _r6(t, instance, aa):
+    """The activity is Invoking; an acknowledgement to the instance, then a
+    call of its service with its inputs."""
+    cid, name = t.message.client_id, aa.aa_name
+    here = activity_address(cid, name)
+    ack = _message(MessageKind.INVOKE_ACK, here, instance_address(cid), cid)
+    call = _message(
+        MessageKind.INVOKE_WS, here, service_address(cid, name), cid, params=aa.input_parameters
+    )
+    return _activity_with(instance, aa, state=ActivityState.INVOKING), (ack, call)
+
+
+def _r7(t, instance, aa):
+    """The activity has Returned the service's result as its outputs; a
+    notification to the instance."""
+    cid, name = t.message.client_id, aa.aa_name
+    returned = _activity_with(
+        instance, aa, state=ActivityState.RETURNED, output_parameters=t.message.params
+    )
+    notify = _message(
+        MessageKind.NOTIFY, activity_address(cid, name), instance_address(cid), cid,
+        aa_name=name, aa_state=ActivityState.RETURNED,
+    )
+    return returned, (notify,)
+
+
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
+def _r8(t, instance, aa):
+    """No change; the stub service's reply: its endpoint, ':' and the first
+    12 hex digits of the SHA-256 of its inputs as a JSON object, keys sorted."""
+    cid, name = t.message.client_id, aa.aa_name
+    text = _SORTED_JSON(dict(t.message.params or ()))
+    result = f"{aa.ws.endpoint}:{hashlib.sha256(text.encode('utf-8')).hexdigest()[:12]}"
+    reply = _message(
+        MessageKind.INVOKE_REPLY, service_address(cid, name), activity_address(cid, name), cid,
+        params=(("result", result),),
+    )
+    return None, (reply,)
+
+
+_RELATION: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable], ...]] = {
+    MessageKind.WSO_REQUEST: ((RuleId.R1_WSOIM_CREATE, _creates, _r1),),
+    MessageKind.SELECT: ((RuleId.R5_SS_SELECT, _selects, _r5),),
+    MessageKind.SELECT_REPLY_DENIED: (
+        (RuleId.R2A_SELECT_DENIED, _in(InstanceState.WAITING), _r2a),
+    ),
+    MessageKind.SELECT_REPLY_GRANTED: ((RuleId.R2B_SELECT_GRANTED, _covers, _r2b),),
+    MessageKind.INVOKE_ACK: (
+        (RuleId.R3_INVOKE_ACK, _in(InstanceState.GRANTED, InstanceState.SERVICING), _r3),
+    ),
+    MessageKind.NOTIFY: (
+        (RuleId.R4A_NOTIFY_ALL_RETURNED, _completes, _r4a),
+        (RuleId.R4B_NOTIFY_SOME_PENDING, _in(InstanceState.SERVICING), lambda *_: (None, ())),
+    ),
+    MessageKind.INVOKE: ((RuleId.R6_AA_INVOKE, _in(ActivityState.PREPARING), _r6),),
+    MessageKind.INVOKE_REPLY: ((RuleId.R7_AA_RETURN, _in(ActivityState.INVOKING), _r7),),
+    MessageKind.INVOKE_WS: (
+        (RuleId.R8_WS_INVOKE, lambda t, instance, aa: aa is not None and aa.ws.bound, _r8),
+    ),
+}
+
+# A pool's canonical order: by (receiver, sender) channel, oldest first.
+_CHANNEL = attrgetter("receiver", "sender")
+
+
+def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
+    """(property, witness) for a transition outside the rule relation, given
+    its changes of actors: its message is not the head of its channel, or
+    its rule is not the first row of the message's kind that fires, or it
+    does not do what that row does.  The row's effect and the client-bound
+    replies the transition emits must be the only changes, the emitted
+    messages must be the row's, and the target pool must be the source pool
+    less the consumed message plus the other emitted messages."""
+    source, message = t.source, t.message
+    pool = list(source.undelivered)
+    head = bisect_left(pool, _CHANNEL(message), key=_CHANNEL)
+    if head == len(pool) or (pool[head] is not message and pool[head] != message):
+        if message in source.channel(message.sender, message.receiver):
+            return [(P_DELIVERY_ORDER, "consumed message overtook an older one on its channel")]
+        return [(P_RULE_REPLAY, "consumed message was not pending")]
+    del pool[head]
+    role = address_role(message.receiver)
+    instance = get_wsoi(source, message.client_id)
+    aa = None
+    if instance is not None and role in (Role.ACTIVITY, Role.SERVICE):
+        aa = get_aa(instance, address_aa_name(message.receiver))
+    rows = _RELATION.get(message.kind, ()) if role is receiver_role(message.kind) else ()
+    for rule, fires, effect in rows:
+        if fires(t, instance, aa):
+            break
+    else:
+        state = state_text(getattr(instance if aa is None else aa, "state", None))
+        witness = f"no rule consumes {message.kind.value} at {message.receiver!r} (state {state})"
+        return [(P_RULE_REPLAY, witness)]
+    notes = []
+    if rule is not t.rule:
+        witness = f"recorded rule {state_text(t.rule)}, the rules fire {rule.value}"
+        notes.append((P_RULE_REPLAY, witness))
+    try:
+        updated, expected = effect(t, instance, aa)
+    except ValueError as exc:  # a snapshot its type refuses, say a client id with ':'
+        return [*notes, (P_RULE_REPLAY, f"{rule.value} cannot apply: {exc}")]
+    if t.emitted != expected:
+        notes.append((P_RULE_REPLAY, f"emitted messages differ from those {rule.value} emits"))
+
+    changed = {} if updated is None else {instance_address(message.client_id): updated}
+    for out in t.emitted:
+        if address_role(out.receiver) is not Role.CLIENT:
+            pool.insert(bisect_right(pool, _CHANNEL(out), key=_CHANNEL), out)
+        elif isinstance(record := source.actor(out.receiver), ClientRecord):
+            prior = changed.get(out.receiver)
+            received = prior.fields["received"] if prior else record.received
+            changed[out.receiver] = _with(record, received=received + (out,))
+        else:
+            notes.append((P_RULE_REPLAY, f"no client record at {out.receiver!r}"))
+    for address, _, after in changes:
+        if address not in changed:
+            notes.append((P_RULE_REPLAY, f"{rule.value} may not change {address!r}"))
+        elif changed.pop(address) != after:
+            notes.append((P_RULE_REPLAY, f"{address!r} is not the snapshot {rule.value} leaves"))
+    for address, snapshot in changed.items():  # the target kept the source's snapshot
+        if snapshot != source.actor(address):
+            notes.append((P_RULE_REPLAY, f"{address!r} is not the snapshot {rule.value} leaves"))
+    if t.target.undelivered != tuple(pool):
+        witness = "target pool is not the source pool less the consumed plus the emitted messages"
+        notes.append((P_RULE_REPLAY, witness))
     return notes
 
 
 def check_behavior(checked: Checked) -> Verdict:
-    """Check traces against the transition rules by replaying every step.
+    """Check traces against the rule relation, one transition at a time.
 
     Each snapshot and message is checked where it first appears, and each
-    pending address where it first fails to resolve.  The selection decision
-    itself is taken as recorded (the selector is free to grant or deny at
-    this layer); everything downstream of the decision must be reproducible.
+    pending address where it first fails to resolve.  Each transition is
+    judged by the row of the relation whose condition holds, read off its
+    source, its target and its emitted messages; nothing is executed again.
+    The selection decision itself is taken as recorded (R5 must emit one
+    reply, but the selector is free to grant or deny at this layer);
+    everything downstream of the decision must follow the rules.
     """
     return _stamp(checked, (_transitions, _behavior_notes))
 

@@ -40,6 +40,7 @@ from qosorch.model import (
     RuleId,
     Trace,
     Transition,
+    client_address,
     instance_address,
 )
 from qosorch.registry import Registry
@@ -589,6 +590,120 @@ def test_forged_trace_fires_its_property_at_its_layer(case, minimal_one, minimal
     verdict = check_pyramid([forge(minimal_one, minimal_run)])
     fired = [v for v in getattr(verdict, layer).violations if v.property_id == property_id]
     assert fired and all(witness in v.witness for v in fired), verdict.violations
+
+
+@pytest.fixture(scope="module")
+def minimal_two_run(minimal_two):
+    return engine.run(minimal_two.workflow, minimal_two.registry, minimal_two.requests, seed=0)
+
+
+def cut_at(trace, index, **fields):
+    """trace up to its transition at index, whose fields are replaced."""
+    forged = dataclasses.replace(trace.steps[index], **fields)
+    return Trace(trace.initial, (*trace.steps[:index], forged))
+
+
+def with_unrelated_pending(run, edit):
+    """run cut at its first transition that leaves another client's message
+    pending, whose target pool is edit(pool, message)."""
+    index, message = next(
+        (i, m)
+        for i, t in enumerate(run.steps)
+        for m in t.target.undelivered
+        if m.client_id != t.message.client_id
+    )
+    target = run.steps[index].target
+    pool = edit(target.undelivered, message)
+    return cut_at(run, index, target=Configuration(target.actors, pool)), index
+
+
+def with_wrong_service_result(run):
+    """run cut at its first service call, whose reply carries a forged result."""
+    index, t = next((i, t) for i, t in enumerate(run.steps) if t.rule is RuleId.R8_WS_INVOKE)
+    reply = dataclasses.replace(t.emitted[0], params=(("result", "forged"),))
+    target = t.source.advance(t.message, {}, (reply,))
+    return cut_at(run, index, emitted=(reply,), target=target), index
+
+
+def with_other_client_served(run):
+    """run cut at a transition of c1 whose target also gives c2 the replies
+    c2 receives at the end."""
+    address = client_address("c2")
+    index, t = next(
+        (i, t)
+        for i, t in enumerate(run.steps)
+        if t.message.client_id == "c1" and not t.target.actor(address).received
+    )
+    served = run.final.actor(address)
+    actors = tuple((a, served if a == address else s) for a, s in t.target.actors)
+    return cut_at(run, index, target=Configuration(actors, t.target.undelivered)), index
+
+
+def with_unknown_activity_granted(run):
+    """run with its grant naming an activity the workflow does not have."""
+
+    def rename(records):
+        for record in records:
+            for message in [*record.get("emitted", ()), record.get("consumed") or {}]:
+                for binding in message.get("assignment", ()):
+                    binding["aa_name"] = "nosuch"
+
+    index = next(i for i, t in enumerate(run.steps) if t.rule is RuleId.R2B_SELECT_GRANTED)
+    return reload_with_edit(run, rename), index
+
+
+# Case -> (forge(minimal two-client run, minimal run) -> (trace, index), text
+# of the rule-replay witness at that index): each breaks one clause of the
+# rule relation at one transition.
+RELATION_FORGED = {
+    "pool-drops-an-unrelated-message": (
+        lambda run, _: with_unrelated_pending(
+            run, lambda pool, m: tuple(x for x in pool if x is not m)
+        ),
+        "target pool is not the source pool",
+    ),
+    "pool-duplicates-an-unrelated-message": (
+        lambda run, _: with_unrelated_pending(run, lambda pool, m: (*pool, m)),
+        "target pool is not the source pool",
+    ),
+    "emitted-payload": (
+        lambda run, _: with_wrong_service_result(run),
+        "emitted messages differ from those R8_WsInvoke emits",
+    ),
+    "other-client-record": (
+        lambda run, _: with_other_client_served(run),
+        "may not change 'ca:c2'",
+    ),
+    "completion-without-outputs": (
+        lambda _, run: (
+            edit_penultimate(
+                run,
+                lambda i: i.with_activity(
+                    dataclasses.replace(i.activities[0], output_parameters=None)
+                ),
+            ),
+            len(run) - 1,
+        ),
+        "recorded rule R4a_NotifyAllReturned, the rules fire R4b_NotifySomePending",
+    ),
+    "grant-of-an-unknown-activity": (
+        lambda _, run: with_unknown_activity_granted(run),
+        "no rule consumes selectReplyGranted",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_FORGED))
+def test_forged_transition_is_outside_the_rule_relation(case, minimal_two_run, minimal_run):
+    forge, witness = RELATION_FORGED[case]
+    trace, index = forge(minimal_two_run, minimal_run)
+    verdict = check_pyramid([trace])
+    fired = {
+        (v.property_id, v.transition_index)
+        for v in verdict.behavior.violations
+        if witness in v.witness
+    }
+    assert (P_RULE_REPLAY, index) in fired, verdict.behavior.violations
 
 
 class TestPyramid:
