@@ -1,100 +1,3 @@
 """QoS-aware service orchestration: a rule engine over immutable
 configurations, a budget-constrained service selector, and three-layer
 trace conformance checking."""
-
-from .conformance import (
-    PyramidVerdict,
-    Verdict,
-    Violation,
-    check_behavior,
-    check_pyramid,
-    check_service,
-    check_system,
-)
-from .engine import (
-    DEFAULT_MAX_TRACES,
-    EngineError,
-    NoRuleError,
-    StateSpaceLimitError,
-    enabled,
-    explore,
-    explore_graph,
-    initial_configuration,
-    run,
-    step,
-)
-from .model import (
-    ActivityActor,
-    ActivityState,
-    AllocatedBinding,
-    Configuration,
-    InstanceState,
-    Message,
-    MessageKind,
-    QoSSpec,
-    RuleId,
-    Trace,
-    Transition,
-    WorkflowDef,
-    WsBinding,
-    WsoInstance,
-    WsoRequest,
-    get_aa,
-    get_wsoi,
-)
-from .registry import Registry, load_registry
-from .selection import (
-    AllocationResult,
-    CandidateService,
-    aggregate_qos,
-    map_input_parameters,
-    map_output_parameters,
-    qos_allocate,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ActivityActor",
-    "ActivityState",
-    "AllocatedBinding",
-    "AllocationResult",
-    "CandidateService",
-    "Configuration",
-    "DEFAULT_MAX_TRACES",
-    "EngineError",
-    "InstanceState",
-    "Message",
-    "MessageKind",
-    "NoRuleError",
-    "PyramidVerdict",
-    "QoSSpec",
-    "Registry",
-    "RuleId",
-    "StateSpaceLimitError",
-    "Trace",
-    "Transition",
-    "Verdict",
-    "Violation",
-    "WorkflowDef",
-    "WsBinding",
-    "WsoInstance",
-    "WsoRequest",
-    "aggregate_qos",
-    "check_behavior",
-    "check_pyramid",
-    "check_service",
-    "check_system",
-    "enabled",
-    "explore",
-    "explore_graph",
-    "get_aa",
-    "get_wsoi",
-    "initial_configuration",
-    "load_registry",
-    "map_input_parameters",
-    "map_output_parameters",
-    "qos_allocate",
-    "run",
-    "step",
-]

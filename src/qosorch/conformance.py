@@ -73,7 +73,6 @@ from .model import (
     instance_state_can_follow,
     message_schema_error,
     receiver_role,
-    resolvable_addresses,
     resolves,
     service_address,
     snapshot_error,
@@ -219,10 +218,11 @@ def _stamp(checked: Checked, *judges) -> Verdict:
 # Behavior layer
 
 def _may_lose(before, after) -> bool:
-    """Whether replacing a snapshot can take away an address it resolved:
-    only removing the actor, or an instance losing an activity or a bound
-    service, can (see :func:`resolvable_addresses`).  Activities are
-    compared by position, so a reordering also counts as a possible loss."""
+    """Whether replacing a snapshot can take away an address that resolves
+    (see :func:`resolves`) to it: only removing the actor, replacing an
+    instance with another type, or an instance losing an activity or a bound
+    service, can.  Activities are compared by position, so a reordering also
+    counts as a possible loss."""
     if after is None:
         return True
     if not isinstance(before, WsoInstance):
@@ -241,12 +241,16 @@ def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
     transition the rule relation does not hold of."""
     source, target, transition = _change(place)
     notes: list[tuple[str, str]] = []
-    lost: set[str] = set()  # addresses resolvable in the source only
     changes = source.changes(target)
+    lost: set[str] = set()  # pending addresses that resolve in the source only
+    if any(before is not None and _may_lose(before, after) for _, before, after in changes):
+        lost = {
+            a
+            for m in target.undelivered
+            for a in (m.sender, m.receiver)
+            if resolves(source, a) and not resolves(target, a)
+        }
     for address, before, after in changes:
-        if before is not None and _may_lose(before, after):
-            kept = () if after is None else resolvable_addresses(address, after)
-            lost.update(a for a in resolvable_addresses(address, before) if a not in kept)
         if after is None:
             continue
         error = snapshot_error(address, after)

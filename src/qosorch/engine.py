@@ -47,7 +47,6 @@ from .model import (
     get_wsoi,
     instance_address,
     message_schema_error,
-    params_dict,
     receiver_role,
     state_text,
 )
@@ -97,7 +96,7 @@ def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Regis
 # instance's new snapshot (None: unchanged) and the messages the rule emits.
 
 def _ws_output_digest(inputs: Params | None) -> str:
-    payload = json.dumps(params_dict(inputs or ()), sort_keys=True)
+    payload = json.dumps(dict(inputs or ()), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 

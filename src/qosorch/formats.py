@@ -1,4 +1,4 @@
-"""JSONL serialization for workflows, requests, traces, and verdicts.
+"""JSONL serialization for workflows, requests, traces, and violations.
 
 Every artifact file is line-delimited JSON: one record per line, keys sorted,
 integers decimal, times in milliseconds, costs in cents.  Trace files are
@@ -6,7 +6,9 @@ self-contained: the trace record carries the full initial configuration
 (including the manager's workflow and the selector's registry), and each
 transition record carries the consumed message, the emitted messages, and
 the changed actors with their before/after snapshots.  Field names are
-frozen in docs/FORMATS.md.
+frozen in docs/FORMATS.md.  Traces are written and read only as whole files
+(:func:`write_traces`, :func:`read_traces`), so every error the reader
+reports names the file and the line.
 
 The trace reader parses only what each transition adds.  Once a changed
 actor's ``before`` matches the source configuration, the parts of its
@@ -22,9 +24,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .conformance import Violation
 from .model import (
     ActivityActor,
     ActivityState,
@@ -46,9 +47,11 @@ from .model import (
     WsoInstance,
     WsoRequest,
     freeze_params,
-    params_dict,
 )
 from .registry import Registry, candidate_from_record, candidate_to_record
+
+if TYPE_CHECKING:
+    from .conformance import Violation
 
 
 class FormatError(ValueError):
@@ -108,7 +111,7 @@ def qos_from_record(record: dict) -> QoSSpec:
 
 
 def _params_record(params: Params | None) -> dict | None:
-    return None if params is None else params_dict(params)
+    return None if params is None else dict(params)
 
 
 def _params_value(value: dict | None) -> Params | None:
@@ -138,7 +141,7 @@ def message_to_record(message: Message) -> dict:
     if message.qos is not None:
         record["qos"] = qos_to_record(message.qos)
     if message.params is not None:
-        record["params"] = params_dict(message.params)
+        record["params"] = dict(message.params)
     if message.assignment is not None:
         record["assignment"] = [
             {
@@ -224,7 +227,7 @@ def request_to_record(request: WsoRequest) -> dict:
         "record": "request",
         "client_id": request.client_id,
         "ontology": request.ontology,
-        "input_parameters": params_dict(request.input_parameters),
+        "input_parameters": dict(request.input_parameters),
         "qos": qos_to_record(request.qos),
     }
 
@@ -284,8 +287,6 @@ def _activity_from_record(record: dict) -> ActivityActor:
         output_parameters=_params_value(record["output_parameters"]),
         state=ActivityState(record["state"]),
         ws=WsBinding(
-            wsoi_id=record["wsoi_id"],
-            aa_name=record["aa_name"],
             endpoint=ws["endpoint"],
             advertised_qos=None
             if ws["advertised_qos"] is None
@@ -438,7 +439,7 @@ class _RecordMemo:
         return entry[1]
 
 
-def config_to_record(config: Configuration, actor_record=actor_to_record) -> dict:
+def config_to_record(config: Configuration, actor_record) -> dict:
     return {
         "actors": [actor_record(address, snapshot) for address, snapshot in config.actors],
         "undelivered": [message_to_record(m) for m in config.undelivered],
@@ -462,7 +463,7 @@ def config_from_record(record: dict) -> Configuration:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
 
-def _transition_body(transition: Transition, actor_record=actor_to_record) -> dict:
+def _transition_body(transition: Transition, actor_record) -> dict:
     """The fields of a transition record that depend on the transition alone."""
     return {
         "consumed": message_to_record(transition.message),
@@ -488,25 +489,9 @@ def _transition_place(trace_index: int, index: int, transition: Transition) -> d
     }
 
 
-def transition_to_record(trace_index: int, index: int, transition: Transition) -> dict:
-    return {
-        **_transition_place(trace_index, index, transition),
-        **_transition_body(transition),
-    }
-
-
-def _trace_header(trace: Trace, trace_index: int, actor_record=actor_to_record) -> dict:
+def _trace_header(trace: Trace, trace_index: int, actor_record) -> dict:
     initial = config_to_record(trace.initial, actor_record)
     return {"record": "trace", "trace": trace_index, "initial": initial}
-
-
-def trace_to_records(trace: Trace, trace_index: int = 0) -> list[dict]:
-    records = [_trace_header(trace, trace_index)]
-    records.extend(
-        transition_to_record(trace_index, index, transition)
-        for index, transition in enumerate(trace.steps)
-    )
-    return records
 
 
 def _consumed(config: Configuration, record) -> Message:
@@ -547,21 +532,10 @@ def _apply_transition_record(
     return Transition(source=config, rule=rule, message=consumed, target=target, emitted=emitted)
 
 
-def traces_from_records(records: Iterable[dict]) -> list[Trace]:
-    """Reassemble the traces a sequence of trace and transition records holds."""
-
-    def numbered(record) -> tuple[None, dict]:
-        if not isinstance(record, dict) or "record" not in record:
-            raise FormatError("expected a record object")
-        return None, record
-
-    return _reassemble(map(numbered, records), None)
-
-
-def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | None) -> list[Trace]:
+def _reassemble(numbered: Iterable[tuple[int, dict]], path: str | Path) -> list[Trace]:
     """Reassemble traces from (line, record) pairs, applying each transition
     record as it arrives; an error names the path and the line of the record
-    at fault, where known.
+    at fault.
 
     Only transition records that arrive before their predecessor are held
     back, so a file in any order reads, at the memory cost of its disorder.
@@ -570,10 +544,10 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
     that a violation names a trace by the index the file gives it.
     """
 
-    def error(line: int | None, text: str) -> FormatError:
-        return FormatError(text if path is None else f"{path}:{line}: {text}")
+    def error(line: int, text: str) -> FormatError:
+        return FormatError(f"{path}:{line}: {text}")
 
-    def trace_index(line: int | None, record: dict) -> int:
+    def trace_index(line: int, record: dict) -> int:
         index = record.get("trace", 0)
         if not isinstance(index, int) or isinstance(index, bool):
             where = "trace record"
@@ -584,7 +558,7 @@ def _reassemble(numbered: Iterable[tuple[int | None, dict]], path: str | Path | 
 
     records = _RecordMemo()
     # trace index -> (line, initial, steps so far, held records by transition index)
-    by_trace: dict[int, tuple[int | None, Configuration, list[Transition], dict[int, tuple]]] = {}
+    by_trace: dict[int, tuple[int, Configuration, list[Transition], dict[int, tuple]]] = {}
     for line, record in numbered:
         if record["record"] == "trace":
             index = trace_index(line, record)

@@ -45,10 +45,6 @@ def freeze_params(values: Mapping[str, str] | Iterable[tuple[str, str]]) -> Para
     return tuple(sorted(seen.items()))
 
 
-def params_dict(params: Params) -> dict[str, str]:
-    return dict(params)
-
-
 # ---------------------------------------------------------------------------
 # QoS
 
@@ -151,8 +147,6 @@ class WsBinding:
     advertised QoS of the selected candidate is.
     """
 
-    wsoi_id: str
-    aa_name: str
     endpoint: str | None = None
     advertised_qos: QoSSpec | None = None
 
@@ -193,7 +187,7 @@ class ActivityActor:
             input_parameters=None,
             output_parameters=None,
             state=ActivityState.PREPARING,
-            ws=WsBinding(wsoi_id=wsoi_id, aa_name=aa_name),
+            ws=WsBinding(),
         )
 
 
@@ -718,33 +712,12 @@ def snapshot_error(address: str, snapshot: ActorSnapshot) -> str | None:
     return None
 
 
-def resolvable_addresses(address: str, snapshot: ActorSnapshot) -> list[str]:
-    """The message addresses an actor makes resolvable: its own, at a role
-    that holds a snapshot, and an instance's activity and bound service
-    addresses, which parse back to it only when its client id has no ':'."""
-    if address_role(address) not in _ROLE_SNAPSHOT_TYPES:
-        return []
-    addresses = [address]
-    client_id = address.partition(":")[2]
-    if (
-        isinstance(snapshot, WsoInstance)
-        and address == instance_address(client_id)
-        and ":" not in client_id
-    ):
-        for aa in snapshot.activities:
-            addresses.append(activity_address(client_id, aa.aa_name))
-            if aa.ws.bound:
-                addresses.append(service_address(client_id, aa.aa_name))
-    return addresses
-
-
 def resolves(config: Configuration, address: str) -> bool:
-    """Whether some actor of config makes address resolvable (see
-    :func:`resolvable_addresses`), read from the one actor that can: for an
-    activity or service address, the instance of the client id it embeds,
-    which must have an activity of the name it ends in, bound for a service
-    address; for any other address, an actor at it of a role that holds a
-    snapshot."""
+    """Whether some actor of config makes address resolvable, read from the
+    one actor that can, its owner: for an activity or service address, the
+    instance of the client id it embeds, which must have an activity of the
+    name it ends in, bound for a service address; for any other address, an
+    actor at it of a role that holds a snapshot."""
     role = address_role(address)
     if role not in (Role.ACTIVITY, Role.SERVICE):
         return role in _ROLE_SNAPSHOT_TYPES and config.actor(address) is not None

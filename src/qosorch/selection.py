@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .model import AllocatedBinding, Params, QoSSpec, freeze_params, params_dict
+from .model import AllocatedBinding, Params, QoSSpec, freeze_params
 
 if TYPE_CHECKING:
     from .registry import Registry
@@ -160,6 +160,6 @@ def map_output_parameters(activity_outputs: Mapping[str, Params | None]) -> Para
         outputs = activity_outputs[aa_name]
         if outputs is None:
             raise IncompleteOutputsError(f"activity {aa_name!r} has not returned outputs")
-        for key, value in params_dict(outputs).items():
+        for key, value in dict(outputs).items():
             merged[f"{aa_name}.{key}"] = value
     return freeze_params(merged)

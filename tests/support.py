@@ -7,9 +7,12 @@ the oracles must stay independent of the paths they check.
 from __future__ import annotations
 
 import itertools
+import json
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
-from qosorch import engine
+from qosorch import engine, formats
 from qosorch.model import (
     ActivityActor,
     ActivityState,
@@ -200,8 +203,6 @@ def denied_then_granted_trace(workflow, registry, requests) -> Trace:
             output_parameters=None,
             state=ActivityState.PREPARING,
             ws=WsBinding(
-                wsoi_id=aa.wsoi_id,
-                aa_name=aa.aa_name,
                 endpoint=allocated[aa.aa_name].candidate_id,
                 advertised_qos=allocated[aa.aa_name].qos,
             ),
@@ -260,7 +261,25 @@ def denied_then_granted_trace(workflow, registry, requests) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Hand edits of trace records.
+# Hand edits of trace records, made to real trace files.
+
+def records_of(traces) -> list[dict]:
+    """The records of the file that write_traces writes for traces, one per
+    line."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "traces.jsonl"
+        formats.write_traces(traces, path)
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def read_records(records) -> list[Trace]:
+    """The traces read_traces reads from a file of records, one per line."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "traces.jsonl"
+        lines = [json.dumps(record, sort_keys=True) + "\n" for record in records]
+        path.write_text("".join(lines), encoding="utf-8")
+        return formats.read_traces(path)
+
 
 def restate_befores(records: list[dict]) -> None:
     """Set every `before` in the transition records to the snapshot the

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 import support
 from qosorch import cli, engine, formats
+from qosorch.model import MessageKind, RuleId
+
+from test_mutants import r7_drops_result, swapped
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "bookstore_seed0.jsonl"
 GOLDEN_RECORDS = [json.loads(line) for line in GOLDEN_FILE.read_text().splitlines()]
@@ -532,6 +535,45 @@ class TestCheck:
         captured = capsys.readouterr()
         assert code == cli.EXIT_OK
         assert "vacuous" in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_engine_error_exits_two_and_writes_no_trace(
+    command, bookstore_args, tmp_path, monkeypatch, capsys
+):
+    """R7 dropping the service result stops the engine when R4a maps the
+    outputs (see test_mutants)."""
+    monkeypatch.setitem(
+        engine._RULES,
+        MessageKind.INVOKE_REPLY,
+        swapped(MessageKind.INVOKE_REPLY, RuleId.R7_AA_RETURN, applier=r7_drops_result),
+    )
+    out = tmp_path / "trace.jsonl"
+    argv = [command, *bookstore_args("bookstore_requests_feasible.jsonl"), "--trace-out", str(out)]
+    assert invoke(argv) == cli.EXIT_ENGINE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("engine error: ") and "has not returned outputs" in captured.err
+    assert not out.exists()
+
+
+def test_empty_requests_give_one_empty_trace_that_checks_conformant(
+    bookstore_args, tmp_path, capsys
+):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("", encoding="utf-8")
+    inputs = bookstore_args("bookstore_requests_feasible.jsonl")
+    inputs[inputs.index("--requests") + 1] = str(requests)
+    ran, explored = tmp_path / "run.jsonl", tmp_path / "explore.jsonl"
+    assert invoke(["run", *inputs, "--trace-out", str(ran)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert invoke(["explore", *inputs, "--trace-out", str(explored)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "traces: 1", "behavior: pass", "system: pass", "service: pass"
+    ]
+    assert explored.read_bytes() == ran.read_bytes()
+    assert invoke(["check", str(explored)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "traces: 1\nconformant\n"
 
 
 class TestDeterminism:

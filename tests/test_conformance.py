@@ -63,10 +63,10 @@ def properties(verdict):
 def reload_with_edit(trace, edit):
     """Serialize a trace, let `edit` rewrite the records, restate each
     `before` from the edited records, and reassemble."""
-    records = [copy.deepcopy(r) for r in formats.trace_to_records(trace)]
+    records = support.records_of([trace])
     edit(records)
     support.restate_befores(records)
-    return formats.traces_from_records(records)[0]
+    return support.read_records(records)[0]
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ class TestBehavior:
         address = instance_address("c2")
         changing = [
             record["index"]
-            for record in formats.trace_to_records(trace)
+            for record in support.records_of([trace])
             if record["record"] == "transition"
             and any(change["address"] == address for change in record["changed"])
         ]
@@ -158,7 +158,7 @@ class TestBehavior:
         trace = engine.run(
             minimal_two.workflow, minimal_two.registry, minimal_two.requests, seed=0
         )
-        records = formats.trace_to_records(trace)
+        records = support.records_of([trace])
         grant = next(r for r in records if r.get("rule") == RuleId.R2B_SELECT_GRANTED.value)
         invoke = next(m for m in grant["emitted"] if m["kind"] == "invoke")
         consume = next(r for r in records if r.get("consumed") == invoke)
@@ -179,7 +179,7 @@ class TestBehavior:
         assert any(repr(invoke["receiver"]) in v.witness for v in unresolvable)
 
     def test_dropped_binding_leaves_its_pending_service_call_unresolvable(self, minimal_run):
-        records = formats.trace_to_records(minimal_run)
+        records = support.records_of([minimal_run])
         call = next(r for r in records if r.get("rule") == RuleId.R6_AA_INVOKE.value)
         invoke_ws = next(m for m in call["emitted"] if m["kind"] == "invokeWs")
         consume = next(r for r in records if r.get("consumed") == invoke_ws)
@@ -201,7 +201,7 @@ class TestBehavior:
         assert repr(invoke_ws["receiver"]) in unresolvable[0].witness
 
     def test_message_to_an_unknown_activity_is_reported_where_it_is_emitted(self, minimal_run):
-        records = formats.trace_to_records(minimal_run)
+        records = support.records_of([minimal_run])
         grant = next(r for r in records if r.get("rule") == RuleId.R2B_SELECT_GRANTED.value)
         assert grant["index"] < len(minimal_run) - 1  # later configurations still hold it
 
@@ -218,7 +218,60 @@ class TestBehavior:
         assert "'aa:c1:nosuch'" in unresolvable[0].witness
 
 
+def created(records):
+    """The instance snapshot that the R1 record, transition 0 on line 2,
+    creates in a run of one client."""
+    return records[1]["changed"][0]["after"]
+
+
+# Edits of a one-client run's records, each with the creation witness it
+# must give at the R1 transition.
+CREATION_FORGERIES = {
+    "client-already-has-an-instance": (
+        lambda records: records[0]["initial"]["actors"].append(copy.deepcopy(created(records))),
+        P_UNIQUE_CREATION,
+        "request 'c1' already has an instance",
+    ),
+    "creates-no-instance": (
+        lambda records: records[1]["changed"].clear(),
+        P_CREATION_SNAPSHOT,
+        "creation produced no instance",
+    ),
+    "stored-request-differs": (
+        lambda records: created(records)["request"]["qos"].update(cost_cents=6),
+        P_CREATION_SNAPSHOT,
+        "stored request differs from the incoming request",
+    ),
+    "activity-carries-data": (
+        lambda records: created(records)["activities"][0].update(input_parameters={"text": "x"}),
+        P_CREATION_SNAPSHOT,
+        "activity 'Echo Input' carries data at creation",
+    ),
+    "activity-bound": (
+        lambda records: created(records)["activities"][0].update(
+            ws={"endpoint": "echo-1", "advertised_qos": {"response_time_ms": 1, "cost_cents": 1}}
+        ),
+        P_CREATION_SNAPSHOT,
+        "activity 'Echo Input' is bound at creation",
+    ),
+    "activity-names-another-owner": (
+        lambda records: created(records)["activities"][0].update(wsoi_id="c9"),
+        P_CREATION_SNAPSHOT,
+        "activity 'Echo Input' names owner 'c9'",
+    ),
+}
+
+
 class TestSystem:
+    @pytest.mark.parametrize("forgery", sorted(CREATION_FORGERIES))
+    def test_forged_creation_is_reported_at_the_r1_transition(self, forgery, minimal_run):
+        edit, property_id, witness = CREATION_FORGERIES[forgery]
+        assert minimal_run.steps[0].rule is RuleId.R1_WSOIM_CREATE
+        verdict = check_pyramid([reload_with_edit(minimal_run, edit)])
+        assert (property_id, 0, witness) in {
+            (v.property_id, v.transition_index, v.witness) for v in verdict.system.violations
+        }
+
     def test_explored_sets_conform(self, explored_corpora):
         for traces in explored_corpora.sets.values():
             assert check_system(traces).passed

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from qosorch import cli, engine, formats
 from qosorch.conformance import Violation, check_behavior
 from qosorch.model import ClientRecord, MessageKind, QoSSpec, WsoInstance, WsoRequest
@@ -82,18 +83,26 @@ class TestTraceFiles:
 
     def test_transition_indices_must_be_contiguous(self, tmp_path, minimal_one):
         trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
-        records = formats.trace_to_records(trace)
+        records = support.records_of([trace])
         records[1]["index"] = 5
-        with pytest.raises(formats.FormatError):
-            formats.traces_from_records(records)
+        # Read in index order, line 7's transition 5 follows line 2's copy.
+        with pytest.raises(formats.FormatError, match=":7: trace 0: expected transition 6, got 5"):
+            support.read_records(records)
 
     @pytest.mark.parametrize("at", [0, 1])
     def test_record_without_a_kind_is_a_format_error(self, minimal_one, at):
         trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
-        records = formats.trace_to_records(trace)
+        records = support.records_of([trace])
         del records[at]["record"]
-        with pytest.raises(formats.FormatError, match="expected a record object"):
-            formats.traces_from_records(records)
+        with pytest.raises(formats.FormatError, match=f":{at + 1}: expected a record object"):
+            support.read_records(records)
+
+    def test_blank_lines_are_skipped(self, tmp_path, minimal_one):
+        trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
+        lines = [json.dumps(record) for record in support.records_of([trace])]
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n" + "\n \n".join(lines) + "\n\n", encoding="utf-8")
+        assert formats.read_traces(path) == [trace]
 
     def test_shared_transitions_write_the_bytes_of_their_records(self, tmp_path, minimal_two):
         traces = engine.explore(
@@ -101,10 +110,11 @@ class TestTraceFiles:
         )
         path = tmp_path / "traces.jsonl"
         formats.write_traces(traces, path)
+        # Each trace written alone shares no transition with another.
         expected = [
-            json.dumps(record, sort_keys=True)
+            json.dumps(dict(record, trace=trace_index), sort_keys=True)
             for trace_index, trace in enumerate(traces)
-            for record in formats.trace_to_records(trace, trace_index)
+            for record in support.records_of([trace])
         ]
         assert path.read_text(encoding="utf-8").splitlines() == expected
 
@@ -112,11 +122,12 @@ class TestTraceFiles:
         traces = engine.explore(
             minimal_two.workflow, minimal_two.registry, minimal_two.requests, max_transitions=50
         )[:5]
+        records = support.records_of(traces)
         lines = []
         rng = random.Random(0)
         # The traces go last to first as well.
-        for trace_index, trace in reversed(list(enumerate(traces))):
-            header, *transitions = formats.trace_to_records(trace, trace_index)
+        for trace_index in reversed(range(len(traces))):
+            header, *transitions = [r for r in records if r["trace"] == trace_index]
             rng.shuffle(transitions)
             lines += [json.dumps(record) for record in [header, *transitions]]
         path = tmp_path / "shuffled.jsonl"
@@ -143,9 +154,8 @@ class TestTraceFiles:
     ):
         trace = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
         lines = [
-            json.dumps(record)
-            for index in indices
-            for record in formats.trace_to_records(trace, index)
+            json.dumps(dict(record, trace=indices[record["trace"]]))
+            for record in support.records_of([trace] * len(indices))
         ]
         path = tmp_path / "gap.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

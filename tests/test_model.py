@@ -35,8 +35,6 @@ from qosorch.model import (
     instance_address,
     instance_state_can_follow,
     message_schema_error,
-    params_dict,
-    resolvable_addresses,
     resolves,
     Role,
     service_address,
@@ -75,7 +73,7 @@ class TestParams:
 
     @given(st.dictionaries(short_text, short_text, max_size=6))
     def test_round_trip(self, mapping):
-        assert params_dict(freeze_params(mapping)) == mapping
+        assert dict(freeze_params(mapping)) == mapping
 
 
 class TestStateMachines:
@@ -129,12 +127,12 @@ class TestRequest:
 
 class TestBinding:
     def test_endpoint_and_qos_go_together(self):
-        WsBinding("c1", "A")  # unbound is fine
-        WsBinding("c1", "A", "svc-1", QoSSpec(5, 5))
+        WsBinding()  # unbound is fine
+        WsBinding("svc-1", QoSSpec(5, 5))
         with pytest.raises(ValueError):
-            WsBinding("c1", "A", "svc-1", None)
+            WsBinding("svc-1", None)
         with pytest.raises(ValueError):
-            WsBinding("c1", "A", None, QoSSpec(5, 5))
+            WsBinding(None, QoSSpec(5, 5))
 
 
 class TestInstance:
@@ -222,7 +220,7 @@ class TestAddresses:
         assert len(seen) > 100
 
     def test_resolves_as_listed_for_forged_snapshots(self):
-        bound = WsBinding("c1", 5, "svc-1", QoSSpec(1, 1))
+        bound = WsBinding("svc-1", QoSSpec(1, 1))
         odd = ActivityActor(5, "c1", None, None, None, ActivityState.INVOKING, bound)
         plain = ActivityActor.initial("A:B", "c1")
         instance = WsoInstance(make_request(), InstanceState.SERVICING, (odd, plain))
@@ -242,6 +240,26 @@ class TestAddresses:
             extra={"aa:c1", "ws:c1", "aa:c1:", "aa:c1:5", "ws:c1:5", "aa::A:B", "aa:", "bogus:x"},
         )
         assert resolves(config, "ws:c1:5") and not resolves(config, "ws:c1:A:B")
+
+
+def resolvable_addresses(address: str, snapshot) -> list[str]:
+    """The message addresses an actor makes resolvable: its own, at a role
+    that holds a snapshot, and an instance's activity and bound service
+    addresses, which parse back to it only when its client id has no ':'."""
+    if address_role(address) not in (Role.MANAGER, Role.SELECTOR, Role.CLIENT, Role.INSTANCE):
+        return []
+    addresses = [address]
+    client_id = address.partition(":")[2]
+    if (
+        isinstance(snapshot, WsoInstance)
+        and address == instance_address(client_id)
+        and ":" not in client_id
+    ):
+        for aa in snapshot.activities:
+            addresses.append(activity_address(client_id, aa.aa_name))
+            if aa.ws.bound:
+                addresses.append(service_address(client_id, aa.aa_name))
+    return addresses
 
 
 def assert_resolves_as_listed(config, names, extra=()) -> None:
