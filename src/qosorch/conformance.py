@@ -29,8 +29,9 @@ come from its edges and terminal nodes, and the paths are listed only to
 place violations.  Checkers re-derive everything from the configurations
 themselves; they never trust engine annotations and never run the engine.
 The rule relation here states the rules apart from the engine's rule table,
-and the selection oracle is a separate implementation from the selector the
-engine uses.
+each effect as the plain snapshot and messages the rule leaves, and the
+selection oracle is a separate implementation from the selector the engine
+uses.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Sequence
 
 from .engine import ConfigurationGraph
 from .model import (
     ActivityState,
+    CHANNEL_KEY,
     ClientRecord,
     Configuration,
     InstanceState,
@@ -64,14 +65,13 @@ from .model import (
     WsoRequest,
     activity_address,
     activity_state_can_follow,
-    address_aa_name,
-    address_role,
     client_address,
     get_aa,
     get_wsoi,
     instance_address,
     instance_state_can_follow,
     message_schema_error,
+    parse_address,
     receiver_role,
     resolves,
     service_address,
@@ -110,13 +110,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class Verdict:
-    passed: bool
     violations: tuple[Violation, ...]
 
-    @classmethod
-    def from_violations(cls, violations: Sequence[Violation]) -> Verdict:
-        ordered = tuple(violations)
-        return cls(passed=not ordered, violations=ordered)
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -197,20 +195,20 @@ def _stamp(checked: Checked, *judges) -> Verdict:
         for places, fact in judges
     ]
     if not any(notes for memo in memos for notes in memo.values()):
-        return Verdict.from_violations(())
+        return Verdict(())
     traces = checked.traces() if isinstance(checked, ConfigurationGraph) else checked
 
     def emitted_at(trace: Trace, message: Message) -> int | None:
         return next((i for i, t in enumerate(trace.steps) if message in t.emitted), None)
 
-    return Verdict.from_violations(
-        [
+    return Verdict(
+        tuple(
             Violation(property_id, trace_index, emitted_at(trace, *at) if at else index, witness)
             for trace_index, trace in enumerate(traces)
             for (places, _), memo in zip(judges, memos)
             for index, place in places(trace)
             for property_id, witness, *at in memo[id(trace.initial), id(place)]
-        ]
+        )
     )
 
 
@@ -294,50 +292,18 @@ def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
 # The rule relation: each rule R1-R8 as one row, from the rules as the table
 # in README.md states them: the rule, its whole condition and its effect.
 # The condition reads the state of the receiver that the vocabulary
-# addresses its kind to, and anything else the rule reads.  The effect gives
-# the new snapshot of the one actor the rule may change, the client's
-# instance (None: unchanged), and the messages the rule must emit.  Both
-# take the transition, the client's instance and the activity that an
-# activity or service receiver names (else None).  The first row of a kind
-# whose condition holds is the rule; only notify has two rows.
+# addresses its kind to, and anything else the rule reads.  The effect is
+# what the rule leaves: the new snapshot of the one actor it may change, the
+# client's instance (None: unchanged), and the messages it must emit, as
+# plain snapshots and messages that the transition's must equal.  Both take
+# the transition, the client's instance and the activity that an activity
+# or service receiver names (else None).  The first row of a kind whose
+# condition holds is the rule; only notify has two rows.
 
-class _Like:
-    """A pattern equal to every object of one dataclass type whose fields
-    hold the given values, which may be patterns in turn: an effect states a
-    snapshot or a message by its fields, compared without building either."""
-
-    __slots__ = ("type", "fields")
-
-    def __init__(self, type_: type, fields: dict) -> None:
-        self.type, self.fields = type_, fields
-
-    def __eq__(self, other) -> bool:
-        return type(other) is self.type and vars(other) == self.fields
-
-
-def _with(snapshot, **fields) -> _Like:
-    return _Like(type(snapshot), {**vars(snapshot), **fields})
-
-
-def _activity_with(instance: WsoInstance, aa, **fields) -> _Like:
-    changed = _with(aa, **fields)
-    return _with(instance, activities=tuple(changed if a is aa else a for a in instance.activities))
-
-
-_NO_PAYLOAD = dict.fromkeys(("ontology", "qos", "params", "assignment", "aa_name", "aa_state"))
-
-
-def _message(kind: MessageKind, sender: str, receiver: str, cid: str, **payload) -> _Like:
-    """The message of kind from sender to receiver for client cid, with no
-    payload fields but those given."""
-    fields = {"kind": kind, "sender": sender, "receiver": receiver, "client_id": cid}
-    return _Like(Message, {**_NO_PAYLOAD, **fields, **payload})
-
-
-def _reply(kind: MessageKind, instance: WsoInstance, **payload) -> _Like:
+def _reply(kind: MessageKind, instance: WsoInstance, **payload) -> Message:
     """A reply to the instance's client, restating the request's ontology and QoS."""
     cid, request = instance.client_id, instance.request
-    return _message(
+    return Message(
         kind, instance_address(cid), client_address(cid), cid,
         ontology=request.ontology, qos=request.qos, **payload,
     )
@@ -365,7 +331,7 @@ def _r1(t, instance, aa):
     m, cid = t.message, t.message.client_id
     request = WsoRequest(cid, m.ontology, m.params or (), m.qos)
     created = WsoInstance.create(request, t.source.actor(WSOIM_ADDRESS).workflow.activity_names())
-    select = _message(
+    select = Message(
         MessageKind.SELECT, instance_address(cid), SS_ADDRESS, cid, ontology=m.ontology, qos=m.qos
     )
     return created, (select,)
@@ -384,12 +350,12 @@ def _r5(t, instance, aa):
         kind, payload = emitted[0].kind, {"assignment": emitted[0].assignment}
     else:
         kind, payload = MessageKind.SELECT_REPLY_DENIED, {}
-    return None, (_message(kind, SS_ADDRESS, instance_address(cid), cid, **payload),)
+    return None, (Message(kind, SS_ADDRESS, instance_address(cid), cid, **payload),)
 
 
 def _r2a(t, instance, aa):
     """Denied; the denied reply."""
-    denied = _with(instance, state=InstanceState.DENIED)
+    denied = replace(instance, state=InstanceState.DENIED)
     return denied, (_reply(MessageKind.DENIED_REPLY, instance),)
 
 
@@ -409,26 +375,26 @@ def _r2b(t, instance, aa):
     cid, bound = t.message.client_id, {b.aa_name: b for b in t.message.assignment}
     inputs = map_input_parameters(instance.request.input_parameters, instance.activity_names())
     activities = tuple(
-        _with(
+        replace(
             a,
             qos=b.qos,
             input_parameters=inputs[a.aa_name],
-            ws=_with(a.ws, endpoint=b.candidate_id, advertised_qos=b.qos),
+            ws=replace(a.ws, endpoint=b.candidate_id, advertised_qos=b.qos),
         )
         for a in instance.activities
         for b in (bound[a.aa_name],)
     )
     invokes = (
-        _message(MessageKind.INVOKE, instance_address(cid), activity_address(cid, a.aa_name), cid)
+        Message(MessageKind.INVOKE, instance_address(cid), activity_address(cid, a.aa_name), cid)
         for a in instance.activities
     )
-    granted = _with(instance, state=InstanceState.GRANTED, activities=activities)
+    granted = replace(instance, state=InstanceState.GRANTED, activities=activities)
     return granted, (_reply(MessageKind.GRANTED_REPLY, instance), *invokes)
 
 
 def _r3(t, instance, aa):
     """Servicing; nothing emitted."""
-    return _with(instance, state=InstanceState.SERVICING), ()
+    return replace(instance, state=InstanceState.SERVICING), ()
 
 
 def _completes(t, instance, aa) -> bool:
@@ -451,7 +417,7 @@ def _r4a(t, instance, aa):
     """Completed with the activities' outputs, each key prefixed with its
     activity's name; the completed reply carrying them."""
     outputs = map_output_parameters({a.aa_name: a.output_parameters for a in instance.activities})
-    completed = _with(instance, state=InstanceState.COMPLETED, output_parameters=outputs)
+    completed = replace(instance, state=InstanceState.COMPLETED, output_parameters=outputs)
     return completed, (_reply(MessageKind.COMPLETED_REPLY, instance, params=outputs),)
 
 
@@ -460,21 +426,21 @@ def _r6(t, instance, aa):
     call of its service with its inputs."""
     cid, name = t.message.client_id, aa.aa_name
     here = activity_address(cid, name)
-    ack = _message(MessageKind.INVOKE_ACK, here, instance_address(cid), cid)
-    call = _message(
+    ack = Message(MessageKind.INVOKE_ACK, here, instance_address(cid), cid)
+    call = Message(
         MessageKind.INVOKE_WS, here, service_address(cid, name), cid, params=aa.input_parameters
     )
-    return _activity_with(instance, aa, state=ActivityState.INVOKING), (ack, call)
+    return instance.with_activity(replace(aa, state=ActivityState.INVOKING)), (ack, call)
 
 
 def _r7(t, instance, aa):
     """The activity has Returned the service's result as its outputs; a
     notification to the instance."""
     cid, name = t.message.client_id, aa.aa_name
-    returned = _activity_with(
-        instance, aa, state=ActivityState.RETURNED, output_parameters=t.message.params
+    returned = instance.with_activity(
+        replace(aa, state=ActivityState.RETURNED, output_parameters=t.message.params)
     )
-    notify = _message(
+    notify = Message(
         MessageKind.NOTIFY, activity_address(cid, name), instance_address(cid), cid,
         aa_name=name, aa_state=ActivityState.RETURNED,
     )
@@ -490,7 +456,7 @@ def _r8(t, instance, aa):
     cid, name = t.message.client_id, aa.aa_name
     text = _SORTED_JSON(dict(t.message.params or ()))
     result = f"{aa.ws.endpoint}:{hashlib.sha256(text.encode('utf-8')).hexdigest()[:12]}"
-    reply = _message(
+    reply = Message(
         MessageKind.INVOKE_REPLY, service_address(cid, name), activity_address(cid, name), cid,
         params=(("result", result),),
     )
@@ -518,10 +484,6 @@ _RELATION: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable], ...]] = {
     ),
 }
 
-# A pool's canonical order: by (receiver, sender) channel, oldest first.
-_CHANNEL = attrgetter("receiver", "sender")
-
-
 def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
     """(property, witness) for a transition outside the rule relation, given
     its changes of actors: its message is not the head of its channel, or
@@ -532,17 +494,17 @@ def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
     less the consumed message plus the other emitted messages."""
     source, message = t.source, t.message
     pool = list(source.undelivered)
-    head = bisect_left(pool, _CHANNEL(message), key=_CHANNEL)
+    head = bisect_left(pool, CHANNEL_KEY(message), key=CHANNEL_KEY)
     if head == len(pool) or (pool[head] is not message and pool[head] != message):
         if message in source.channel(message.sender, message.receiver):
             return [(P_DELIVERY_ORDER, "consumed message overtook an older one on its channel")]
         return [(P_RULE_REPLAY, "consumed message was not pending")]
     del pool[head]
-    role = address_role(message.receiver)
+    role, _, aa_name = parse_address(message.receiver)
     instance = get_wsoi(source, message.client_id)
     aa = None
     if instance is not None and role in (Role.ACTIVITY, Role.SERVICE):
-        aa = get_aa(instance, address_aa_name(message.receiver))
+        aa = get_aa(instance, aa_name)
     rows = _RELATION.get(message.kind, ()) if role is receiver_role(message.kind) else ()
     for rule, fires, effect in rows:
         if fires(t, instance, aa):
@@ -564,12 +526,12 @@ def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
 
     changed = {} if updated is None else {instance_address(message.client_id): updated}
     for out in t.emitted:
-        if address_role(out.receiver) is not Role.CLIENT:
-            pool.insert(bisect_right(pool, _CHANNEL(out), key=_CHANNEL), out)
-        elif isinstance(record := source.actor(out.receiver), ClientRecord):
-            prior = changed.get(out.receiver)
-            received = prior.fields["received"] if prior else record.received
-            changed[out.receiver] = _with(record, received=received + (out,))
+        if parse_address(out.receiver).role is not Role.CLIENT:
+            pool.insert(bisect_right(pool, CHANNEL_KEY(out), key=CHANNEL_KEY), out)
+            continue
+        record = changed.get(out.receiver) or source.actor(out.receiver)
+        if isinstance(record, ClientRecord):
+            changed[out.receiver] = record.with_received(out)
         else:
             notes.append((P_RULE_REPLAY, f"no client record at {out.receiver!r}"))
     for address, _, after in changes:
@@ -918,7 +880,6 @@ def check_pyramid(checked: Checked) -> PyramidVerdict:
         )
     combined = behavior.violations + system.violations + service.violations + tuple(chain)
     return PyramidVerdict(
-        passed=behavior.passed and system.passed and service.passed,
         violations=combined,
         behavior=behavior,
         system=system,

@@ -39,14 +39,13 @@ from .model import (
     WorkflowDef,
     WsoInstance,
     WsoRequest,
-    address_aa_name,
-    address_role,
     build_message,
     client_address,
     get_aa,
     get_wsoi,
     instance_address,
     message_schema_error,
+    parse_address,
     receiver_role,
     state_text,
 )
@@ -307,9 +306,9 @@ _RULES: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable[..., bool]], ..
 def _match(config: Configuration, message: Message):
     """The rule that consumes this message in this configuration, its
     applier, the client's instance and the activity the receiver names."""
+    role, _, aa_name = parse_address(message.receiver)
     instance = get_wsoi(config, message.client_id)
-    activity = None if instance is None else get_aa(instance, address_aa_name(message.receiver))
-    role = address_role(message.receiver)
+    activity = None if instance is None else get_aa(instance, aa_name)
     if role is receiver_role(message.kind):
         for rule, apply, fires in _RULES.get(message.kind, ()):
             if fires(config, message, instance, activity):
@@ -363,7 +362,7 @@ def step(config: Configuration, message: Message, *, selector: Selector | None =
         schema_error = message_schema_error(out)
         if schema_error is not None:
             raise EngineError(f"rule {rule.value} emitted a bad message: {schema_error}")
-        if address_role(out.receiver) is Role.CLIENT:
+        if parse_address(out.receiver).role is Role.CLIENT:
             record = changed.get(out.receiver) or config.actor(out.receiver)
             if not isinstance(record, ClientRecord):
                 raise EngineError(f"no client record at {out.receiver!r}")

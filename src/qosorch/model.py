@@ -15,8 +15,9 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from functools import cache
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
     from .registry import Registry
@@ -305,34 +306,34 @@ _ROLE_PREFIXES = {
 }
 
 
-def address_role(address: str) -> Role | None:
+class Address(NamedTuple):
+    """What an address names: the role of its actor (None for no role), the
+    client id it embeds and the activity name it ends in (None where it has
+    none).  A bare role prefix such as ``"aa"`` embeds no client id, an
+    activity address without a second ``':'`` ends in no activity name, and
+    an activity name may itself contain ``':'``."""
+
+    role: Role | None
+    client_id: str | None = None
+    aa_name: str | None = None
+
+
+@cache
+def parse_address(address: str) -> Address:
+    """The one parser of the address grammar, memoised: a process sees few
+    distinct addresses and parses each many times."""
     if address == WSOIM_ADDRESS:
-        return Role.MANAGER
+        return Address(Role.MANAGER)
     if address == SS_ADDRESS:
-        return Role.SELECTOR
-    prefix = address.split(":", 1)[0]
-    return _ROLE_PREFIXES.get(prefix)
-
-
-def address_client_id(address: str) -> str | None:
-    """The client id embedded in a client/instance/activity/service address;
-    None for other roles and for a bare role prefix such as ``"aa"``."""
-    role = address_role(address)
+        return Address(Role.SELECTOR)
+    prefix, *rest = address.split(":", 1)
+    role = _ROLE_PREFIXES.get(prefix)
+    if role is None or not rest:
+        return Address(role)
     if role in (Role.CLIENT, Role.INSTANCE):
-        parts = address.split(":", 1)
-    elif role in (Role.ACTIVITY, Role.SERVICE):
-        parts = address.split(":", 2)
-    else:
-        return None
-    return parts[1] if len(parts) > 1 else None
-
-
-def address_aa_name(address: str) -> str | None:
-    role = address_role(address)
-    if role in (Role.ACTIVITY, Role.SERVICE):
-        parts = address.split(":", 2)
-        return parts[2] if len(parts) == 3 else None
-    return None
+        return Address(role, rest[0])
+    client_id, *aa_name = rest[0].split(":", 1)
+    return Address(role, client_id, aa_name[0] if aa_name else None)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +457,13 @@ def message_schema_error(message: Message) -> str | None:
     if schema is None:
         return f"unknown message kind {message.kind!r}"
     sender_role, receiver_role, required = schema
-    if address_role(message.sender) is not sender_role:
+    sender, receiver = parse_address(message.sender), parse_address(message.receiver)
+    if sender.role is not sender_role:
         return (
             f"{message.kind.value} must be sent by a {sender_role.value} actor, "
             f"got sender {message.sender!r}"
         )
-    if address_role(message.receiver) is not receiver_role:
+    if receiver.role is not receiver_role:
         return (
             f"{message.kind.value} must be received by a {receiver_role.value} actor, "
             f"got receiver {message.receiver!r}"
@@ -472,9 +474,8 @@ def message_schema_error(message: Message) -> str | None:
             return f"{message.kind.value} requires payload field {field_name!r}"
         if field_name not in required and value is not None:
             return f"{message.kind.value} must not carry payload field {field_name!r}"
-    for address in (message.sender, message.receiver):
-        embedded = address_client_id(address)
-        if embedded is not None and embedded != message.client_id:
+    for address, parsed in ((message.sender, sender), (message.receiver, receiver)):
+        if parsed.client_id is not None and parsed.client_id != message.client_id:
             return (
                 f"{message.kind.value} client_id {message.client_id!r} does not match "
                 f"address {address!r}"
@@ -482,10 +483,10 @@ def message_schema_error(message: Message) -> str | None:
     if message.kind is MessageKind.NOTIFY:
         if message.aa_state is not ActivityState.RETURNED:
             return "notify must report state Returned"
-        if address_aa_name(message.sender) != message.aa_name:
+        if sender.aa_name != message.aa_name:
             return f"notify names activity {message.aa_name!r} but was sent by {message.sender!r}"
     if message.kind is MessageKind.INVOKE_WS:
-        if address_aa_name(message.sender) != address_aa_name(message.receiver):
+        if sender.aa_name != receiver.aa_name:
             return "service invocation must target the sender activity's own service"
     return None
 
@@ -529,10 +530,11 @@ _ROLE_SNAPSHOT_TYPES: dict[Role, type] = {
 
 
 # Orders over messages, as C-level getters so that bisecting a message tuple
-# calls no Python code: a channel is (receiver, sender), and deliverable
-# messages list by Message.sort_key.  An enum member's ``value`` is a property
-# written in Python; ``_value_`` is the plain attribute that holds it.
-_CHANNEL = attrgetter("receiver", "sender")
+# calls no Python code: a channel is (receiver, sender), CHANNEL_KEY orders a
+# pool (see Configuration), and deliverable messages list by Message.sort_key.
+# An enum member's ``value`` is a property written in Python; ``_value_`` is
+# the plain attribute that holds it.
+CHANNEL_KEY = attrgetter("receiver", "sender")
 _RECEIVER = attrgetter("receiver")
 _SORT_KEY = attrgetter("kind._value_", "sender", "receiver", "client_id")
 _ADDRESS = itemgetter(0)
@@ -570,8 +572,8 @@ class Configuration:
         index = {address: position for position, (address, _) in enumerate(actors)}
         if len(index) != len(actors):
             raise ValueError("actor addresses must be unique")
-        pool = tuple(sorted(self.undelivered, key=_CHANNEL))  # stable: FIFO within a channel
-        first = {_CHANNEL(m): m for m in reversed(pool)}  # each channel's oldest message
+        pool = tuple(sorted(self.undelivered, key=CHANNEL_KEY))  # stable: FIFO within a channel
+        first = {CHANNEL_KEY(m): m for m in reversed(pool)}  # each channel's oldest message
         self._set(actors, index, pool, tuple(sorted(first.values(), key=_SORT_KEY)), None)
 
     def _set(self, actors, index, pool, heads, origin) -> None:
@@ -604,8 +606,8 @@ class Configuration:
     def channel(self, sender: str, receiver: str) -> tuple[Message, ...]:
         """The messages pending from sender to receiver, oldest first."""
         key = (receiver, sender)
-        lo = bisect_left(self.undelivered, key, key=_CHANNEL)
-        return self.undelivered[lo : bisect_right(self.undelivered, key, lo, key=_CHANNEL)]
+        lo = bisect_left(self.undelivered, key, key=CHANNEL_KEY)
+        return self.undelivered[lo : bisect_right(self.undelivered, key, lo, key=CHANNEL_KEY)]
 
     def pending_to(self, receiver: str) -> tuple[Message, ...]:
         """The messages pending to receiver, channel by channel."""
@@ -639,22 +641,22 @@ class Configuration:
                     listed[index[address]] = (address, snapshot)
                 actors = tuple(listed)
         pool, heads = list(self.undelivered), list(self.heads)
-        key = _CHANNEL(consumed)
-        lo = bisect_left(pool, key, key=_CHANNEL)
-        for position in range(lo, bisect_right(pool, key, lo, key=_CHANNEL)):
+        key = CHANNEL_KEY(consumed)
+        lo = bisect_left(pool, key, key=CHANNEL_KEY)
+        for position in range(lo, bisect_right(pool, key, lo, key=CHANNEL_KEY)):
             if pool[position] is consumed or pool[position] == consumed:
                 del pool[position]
                 if position == lo:  # the channel's head: its successor, if any, takes over
                     del heads[bisect_left(heads, _SORT_KEY(consumed), key=_SORT_KEY)]
-                    if lo < len(pool) and _CHANNEL(pool[lo]) == key:
+                    if lo < len(pool) and CHANNEL_KEY(pool[lo]) == key:
                         insort(heads, pool[lo], key=_SORT_KEY)
                 break
         for message in emitted:
-            if address_role(message.receiver) is Role.CLIENT:
+            if parse_address(message.receiver).role is Role.CLIENT:
                 continue
-            key = _CHANNEL(message)
-            position = bisect_right(pool, key, key=_CHANNEL)
-            if position == 0 or _CHANNEL(pool[position - 1]) != key:
+            key = CHANNEL_KEY(message)
+            position = bisect_right(pool, key, key=CHANNEL_KEY)
+            if position == 0 or CHANNEL_KEY(pool[position - 1]) != key:
                 insort(heads, message, key=_SORT_KEY)
             pool.insert(position, message)
         target = object.__new__(Configuration)
@@ -702,7 +704,7 @@ def get_aa(instance: WsoInstance, aa_name: str | None) -> ActivityActor | None:
 def snapshot_error(address: str, snapshot: ActorSnapshot) -> str | None:
     """Check that a snapshot has the type its address's role holds and, for
     instances and client records, carries the client id of its address."""
-    role = address_role(address)
+    role = parse_address(address).role
     if role not in _ROLE_SNAPSHOT_TYPES or not isinstance(snapshot, _ROLE_SNAPSHOT_TYPES[role]):
         return f"address {address!r} holds a {type(snapshot).__name__} snapshot"
     if isinstance(snapshot, WsoInstance) and address != instance_address(snapshot.client_id):
@@ -718,15 +720,14 @@ def resolves(config: Configuration, address: str) -> bool:
     instance of the client id it embeds, which must have an activity of the
     name it ends in, bound for a service address; for any other address, an
     actor at it of a role that holds a snapshot."""
-    role = address_role(address)
+    role, client_id, aa_name = parse_address(address)
     if role not in (Role.ACTIVITY, Role.SERVICE):
         return role in _ROLE_SNAPSHOT_TYPES and config.actor(address) is not None
-    parts = address.split(":", 2)
-    if len(parts) < 3:
+    if aa_name is None:
         return False
-    instance = config.actor(instance_address(parts[1]))
+    instance = config.actor(instance_address(client_id))
     return isinstance(instance, WsoInstance) and any(
-        f"{aa.aa_name}" == parts[2] and (role is Role.ACTIVITY or aa.ws.bound)
+        f"{aa.aa_name}" == aa_name and (role is Role.ACTIVITY or aa.ws.bound)
         for aa in instance.activities
     )
 

@@ -23,11 +23,13 @@ from qosorch.model import (
     Message,
     MessageKind,
     QoSSpec,
+    Role,
     RuleId,
     SS_ADDRESS,
     Trace,
     Transition,
     WsBinding,
+    WSOIM_ADDRESS,
     WsoInstance,
     activity_address,
     client_address,
@@ -35,6 +37,29 @@ from qosorch.model import (
     instance_address,
 )
 from qosorch.selection import AllocationResult, map_input_parameters
+
+
+# ---------------------------------------------------------------------------
+# Address oracle: the address grammar read with plain str.split.
+
+_PREFIX_ROLES = {"ca": Role.CLIENT, "wsoi": Role.INSTANCE, "aa": Role.ACTIVITY, "ws": Role.SERVICE}
+
+
+def reference_address(address: str) -> tuple:
+    """(role, client id, activity name) of an address.  The manager and the
+    selector have one fixed address each; any other role is named by the
+    text before the first ':'.  A client or instance address embeds the
+    whole rest as its client id; an activity or service address embeds the
+    text up to its second ':' and ends in the activity name after it."""
+    if address == WSOIM_ADDRESS:
+        return Role.MANAGER, None, None
+    if address == SS_ADDRESS:
+        return Role.SELECTOR, None, None
+    role = _PREFIX_ROLES.get(address.split(":", 1)[0])
+    parts = address.split(":", 2 if role in (Role.ACTIVITY, Role.SERVICE) else 1)
+    client_id = parts[1] if role is not None and len(parts) > 1 else None
+    aa_name = parts[2] if len(parts) == 3 else None
+    return role, client_id, aa_name
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from qosorch import engine
 from qosorch.model import (
     ACTIVITY_SUCCESSORS,
@@ -25,9 +26,6 @@ from qosorch.model import (
     WsoRequest,
     activity_address,
     activity_state_can_follow,
-    address_aa_name,
-    address_client_id,
-    address_role,
     client_address,
     freeze_params,
     get_aa,
@@ -35,6 +33,7 @@ from qosorch.model import (
     instance_address,
     instance_state_can_follow,
     message_schema_error,
+    parse_address,
     resolves,
     Role,
     service_address,
@@ -176,21 +175,35 @@ class TestWorkflowDef:
 
 class TestAddresses:
     def test_roles(self):
-        assert address_role(WSOIM_ADDRESS) is Role.MANAGER
-        assert address_role(SS_ADDRESS) is Role.SELECTOR
-        assert address_role(client_address("c1")) is Role.CLIENT
-        assert address_role(instance_address("c1")) is Role.INSTANCE
-        assert address_role(activity_address("c1", "Get Pays")) is Role.ACTIVITY
-        assert address_role(service_address("c1", "Get Pays")) is Role.SERVICE
-        assert address_role("bogus:x") is None
+        assert parse_address(WSOIM_ADDRESS).role is Role.MANAGER
+        assert parse_address(SS_ADDRESS).role is Role.SELECTOR
+        assert parse_address(client_address("c1")).role is Role.CLIENT
+        assert parse_address(instance_address("c1")).role is Role.INSTANCE
+        assert parse_address(activity_address("c1", "Get Pays")).role is Role.ACTIVITY
+        assert parse_address(service_address("c1", "Get Pays")).role is Role.SERVICE
+        assert parse_address("bogus:x").role is None
 
     def test_embedded_identities(self):
-        assert address_client_id(activity_address("c1", "A:B")) == "c1"
-        assert address_aa_name(activity_address("c1", "A:B")) == "A:B"
-        assert address_client_id(client_address("c1")) == "c1"
-        assert address_aa_name(instance_address("c1")) is None
+        assert parse_address(activity_address("c1", "A:B")).client_id == "c1"
+        assert parse_address(activity_address("c1", "A:B")).aa_name == "A:B"
+        assert parse_address(client_address("c1")).client_id == "c1"
+        assert parse_address(instance_address("c1")).aa_name is None
         for prefix in ("ca", "wsoi", "aa", "ws"):
-            assert address_client_id(prefix) is None
+            assert parse_address(prefix).client_id is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        address=st.one_of(
+            st.sampled_from([WSOIM_ADDRESS, SS_ADDRESS]),
+            st.text(alphabet=":acwsoim. ", max_size=12),
+            st.tuples(
+                st.sampled_from(["ca", "wsoi", "aa", "ws", WSOIM_ADDRESS, SS_ADDRESS]),
+                st.text(alphabet=":acwsoim. ", max_size=8),
+            ).map(":".join),
+        )
+    )
+    def test_parse_address_agrees_with_a_plain_split(self, address):
+        assert parse_address(address) == support.reference_address(address)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -246,7 +259,8 @@ def resolvable_addresses(address: str, snapshot) -> list[str]:
     """The message addresses an actor makes resolvable: its own, at a role
     that holds a snapshot, and an instance's activity and bound service
     addresses, which parse back to it only when its client id has no ':'."""
-    if address_role(address) not in (Role.MANAGER, Role.SELECTOR, Role.CLIENT, Role.INSTANCE):
+    role = support.reference_address(address)[0]
+    if role not in (Role.MANAGER, Role.SELECTOR, Role.CLIENT, Role.INSTANCE):
         return []
     addresses = [address]
     client_id = address.partition(":")[2]
@@ -276,7 +290,7 @@ def assert_resolves_as_listed(config, names, extra=()) -> None:
     for message in config.undelivered:
         candidates |= {message.sender, message.receiver}
     candidates |= {"aa", "ws", "ca", "wsoi", "aa:", "bogus:c1"}
-    client_ids = {address_client_id(address) for address in candidates} - {None}
+    client_ids = {support.reference_address(address)[1] for address in candidates} - {None}
     for client_id in client_ids | {"zz"} | {f"{cid}:{n}" for cid in client_ids for n in names}:
         candidates |= {client_address(client_id), instance_address(client_id)}
         for aa_name in names:
