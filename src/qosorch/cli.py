@@ -127,6 +127,19 @@ def _print_violations(violations) -> None:
         )
 
 
+def _write_out(path: str, traces, violations=()) -> bool:
+    """Write traces, then violations, to path; a file that cannot be
+    written is reported as an input error."""
+    try:
+        formats.write_traces(traces, path)
+        if violations:
+            formats.append_violations(violations, path)
+    except OSError as exc:
+        print(f"error: {path}: cannot write: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         workflow, registry, requests = _load_inputs(args)
@@ -138,8 +151,8 @@ def cmd_run(args) -> int:
     except (engine.EngineError, ValueError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    if args.trace_out:
-        formats.write_traces([trace], args.trace_out)
+    if args.trace_out and not _write_out(args.trace_out, [trace]):
+        return EXIT_INPUT
     _print_outcomes(trace)
     return EXIT_OK
 
@@ -170,10 +183,8 @@ def cmd_explore(args) -> int:
         ("service", verdict.service),
     ):
         print(f"{layer}: {'pass' if layer_verdict.passed else 'fail'}")
-    if args.trace_out:
-        formats.write_traces(traces, args.trace_out)
-        if verdict.violations:
-            formats.append_violations(verdict.violations, args.trace_out)
+    if args.trace_out and not _write_out(args.trace_out, traces, verdict.violations):
+        return EXIT_INPUT
     if not verdict.passed:
         _print_violations(verdict.violations)
         return EXIT_VIOLATION

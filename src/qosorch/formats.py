@@ -15,8 +15,14 @@ actor's ``before`` matches the source configuration, the parts of its
 ``after`` that repeat ``before`` (an instance's request and activities, a
 client's received messages), and a consumed message that repeats a pending
 one, are taken from the source instead of parsed again.  The result equals
-a plain parse.  One memo per read or write call turns each actor and
-activity snapshot into its record once.
+a plain parse.  One memo per read call turns each actor and activity
+snapshot into its record once.
+
+The trace writer encodes each part once: one memo per write call holds the
+JSON text of each activity, request and message, and of each address's
+latest snapshot, so a ``before`` reuses the text of the ``after`` it
+repeats.  Lines are joined from these texts, byte for byte what
+``json.dumps(record, sort_keys=True)`` gives.
 """
 
 from __future__ import annotations
@@ -58,26 +64,32 @@ class FormatError(ValueError):
     """An artifact file failed to parse or reassemble."""
 
 
-def _dump_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+# json.dumps builds an encoder on every call with sort_keys; this one is built once.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """The records of a JSONL file, each with its line number, parsed one
     line at a time."""
-    with Path(path).open(encoding="utf-8") as handle:
-        # str.splitlines numbers lines as a whole-file read would.
-        lines = (piece for line in handle for piece in line.splitlines())
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+    with Path(path).open("rb") as handle:
+        line_no = 0
+        for raw in handle:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "record" not in record:
-                raise FormatError(f"{path}:{line_no}: expected a record object")
-            yield line_no, record
+                # str.splitlines numbers lines as a whole-file read would.
+                lines = raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{line_no + 1}: not UTF-8: {exc}") from exc
+            for line in lines:
+                line_no += 1
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+                if not isinstance(record, dict) or "record" not in record:
+                    raise FormatError(f"{path}:{line_no}: expected a record object")
+                yield line_no, record
 
 
 def _load_records(path: str | Path, kind: str, parse) -> list:
@@ -219,7 +231,7 @@ def load_workflow(path: str | Path) -> WorkflowDef:
 
 
 def dump_workflow(workflow: WorkflowDef, path: str | Path) -> None:
-    Path(path).write_text(_dump_line(workflow_to_record(workflow)) + "\n", encoding="utf-8")
+    Path(path).write_text(_encode(workflow_to_record(workflow)) + "\n", encoding="utf-8")
 
 
 def request_to_record(request: WsoRequest) -> dict:
@@ -249,7 +261,7 @@ def load_requests(path: str | Path) -> list[WsoRequest]:
 
 
 def dump_requests(requests: Iterable[WsoRequest], path: str | Path) -> None:
-    lines = [_dump_line(request_to_record(r)) for r in requests]
+    lines = [_encode(request_to_record(r)) for r in requests]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -416,7 +428,7 @@ def actor_from_record(record: dict, before=None, before_record: dict | None = No
 
 class _RecordMemo:
     """The canonical records of the actor and activity snapshots of one read
-    or write call, each built once per object.  Configurations share their
+    call, each built once per object.  Configurations share their
     unchanged actors and instances their unchanged activities, so one
     object stands in many snapshots.  Entries are keyed by identity and
     hold their object, so no id is reused while the memo lives."""
@@ -462,37 +474,6 @@ def config_from_record(record: dict) -> Configuration:
 # followed by one transition record per step.  Transition records are deltas:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
-
-def _transition_body(transition: Transition, actor_record) -> dict:
-    """The fields of a transition record that depend on the transition alone."""
-    return {
-        "consumed": message_to_record(transition.message),
-        "emitted": [message_to_record(m) for m in transition.emitted],
-        "changed": [
-            {
-                "address": address,
-                "before": None if before is None else actor_record(address, before),
-                "after": None if after is None else actor_record(address, after),
-            }
-            for address, before, after in transition.source.changes(transition.target)
-        ],
-    }
-
-
-def _transition_place(trace_index: int, index: int, transition: Transition) -> dict:
-    """The fields of a transition record that place it in a trace file."""
-    return {
-        "record": "transition",
-        "trace": trace_index,
-        "index": index,
-        "rule": transition.rule.value,
-    }
-
-
-def _trace_header(trace: Trace, trace_index: int, actor_record) -> dict:
-    initial = config_to_record(trace.initial, actor_record)
-    return {"record": "trace", "trace": trace_index, "initial": initial}
-
 
 def _consumed(config: Configuration, record) -> Message:
     """The message a `consumed` record names: the first message pending on
@@ -605,25 +586,127 @@ def _reassemble(numbered: Iterable[tuple[int, dict]], path: str | Path) -> list[
     return traces
 
 
+def _object(**texts: str) -> str:
+    """The JSON text of an object, from the JSON text of each value, as
+    json.dumps with sorted keys writes it; each key is an ASCII identifier,
+    so it needs no escape."""
+    return "{" + ", ".join(['"' + key + '": ' + texts[key] for key in sorted(texts)]) + "}"
+
+
+def _array(texts: Iterable[str]) -> str:
+    return "[" + ", ".join(texts) + "]"
+
+
+# A placeholder that no encoded text holds: the encoder escapes every control
+# character.
+_SLOT = "\0"
+
+
+class _TextMemo:
+    """The JSON texts of one write call.  Each activity, request and
+    message object is encoded once, keyed by identity and holding its
+    object.  Per address, the latest snapshot is kept with its text, so
+    the ``before`` of a change reuses the text of the ``after`` that the
+    actor's previous change wrote, and memory stays bounded by the address
+    count and the parts."""
+
+    def __init__(self) -> None:
+        self._parts: dict = {}
+        self._latest: dict = {}
+        self._initials: dict = {}
+
+    def part(self, value, to_record) -> str:
+        entry = self._parts.get(id(value))
+        if entry is None:
+            entry = self._parts[id(value)] = (value, _encode(to_record(value)))
+        return entry[1]
+
+    def message(self, message: Message) -> str:
+        return self.part(message, message_to_record)
+
+    def actor(self, address: str, snapshot) -> str:
+        if snapshot is None:
+            return "null"
+        entry = self._latest.get(address)
+        if entry is None or entry[0] is not snapshot:
+            entry = self._latest[address] = (snapshot, self._actor_text(address, snapshot))
+        return entry[1]
+
+    def _actor_text(self, address: str, snapshot) -> str:
+        # The fields of actor_to_record, each part's text taken from the memo.
+        if isinstance(snapshot, WsoInstance):
+            return _object(
+                activities=_array(self.part(aa, _activity_record) for aa in snapshot.activities),
+                address=_encode(address),
+                output_parameters=_encode(_params_record(snapshot.output_parameters)),
+                request=self.part(snapshot.request, request_to_record),
+                state=_encode(snapshot.state.value),
+                type='"instance"',
+            )
+        if isinstance(snapshot, ClientRecord):
+            return _object(
+                address=_encode(address),
+                client_id=_encode(snapshot.client_id),
+                received=_array(map(self.message, snapshot.received)),
+                type='"client"',
+            )
+        return _encode(actor_to_record(address, snapshot))
+
+    def initial(self, config: Configuration) -> str:
+        entry = self._initials.get(id(config))
+        if entry is None:
+            text = _object(
+                actors=_array(self.actor(address, s) for address, s in config.actors),
+                undelivered=_array(map(self.message, config.undelivered)),
+            )
+            entry = self._initials[id(config)] = (config, text)
+        return entry[1]
+
+    def transition(self, transition: Transition) -> list[str]:
+        """The text of a transition's record, split where the record's index
+        and trace index go."""
+        changed = [
+            # `before` is looked up first: it is the text the address holds.
+            _object(
+                address=_encode(address),
+                before=self.actor(address, before),
+                after=self.actor(address, after),
+            )
+            for address, before, after in transition.source.changes(transition.target)
+        ]
+        return _object(
+            changed=_array(changed),
+            consumed=self.message(transition.message),
+            emitted=_array(map(self.message, transition.emitted)),
+            index=_SLOT,
+            record='"transition"',
+            rule=_encode(transition.rule.value),
+            trace=_SLOT,
+        ).split(_SLOT)
+
+
 def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
-    """Write traces one record per line.  A transition that several traces
-    share is serialized once per call; only its placement differs."""
+    """Write traces one record per line, each line joined from the texts of
+    one memo (:class:`_TextMemo`).  A transition that several traces share
+    is encoded once per call, and so is an initial configuration; only
+    their placement differs."""
     uses = Counter(id(transition) for trace in traces for transition in trace.steps)
-    bodies: dict[int, str] = {}  # id(shared transition) -> its body's JSON, without the "}"
-    records = _RecordMemo()
+    shared: dict[int, list[str]] = {}  # id(shared transition) -> its record's text, split
+    texts = _TextMemo()
     with Path(path).open("w", encoding="utf-8") as out:
         for trace_index, trace in enumerate(traces):
-            out.write(_dump_line(_trace_header(trace, trace_index, records.actor)) + "\n")
+            # The encoder writes an int as str does.
+            place = str(trace_index)
+            initial = texts.initial(trace.initial)
+            out.write(_object(initial=initial, record='"trace"', trace=place) + "\n")
             for index, transition in enumerate(trace.steps):
-                body = bodies.get(id(transition))
-                if body is None:
-                    body = _dump_line(_transition_body(transition, records.actor))[:-1]
+                pieces = shared.get(id(transition))
+                if pieces is None:
+                    pieces = texts.transition(transition)
                     if uses[id(transition)] > 1:
-                        bodies[id(transition)] = body
-                # Every body key sorts before every place key, so the two
-                # sorted objects join into the line of the whole record.
-                place = _dump_line(_transition_place(trace_index, index, transition))
-                out.write(body + ", " + place[1:] + "\n")
+                        shared[id(transition)] = pieces
+                head, middle, tail = pieces
+                out.write(head + str(index) + middle + place + tail + "\n")
 
 
 def read_traces(path: str | Path) -> list[Trace]:
@@ -644,6 +727,6 @@ def violation_to_record(violation: Violation) -> dict:
 
 
 def append_violations(violations: Sequence[Violation], path: str | Path) -> None:
-    lines = [_dump_line(violation_to_record(v)) for v in violations]
+    lines = [_encode(violation_to_record(v)) for v in violations]
     with open(path, "a", encoding="utf-8") as handle:
         handle.writelines(line + "\n" for line in lines)

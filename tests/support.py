@@ -291,10 +291,51 @@ def denied_then_granted_trace(workflow, registry, requests) -> Trace:
 def records_of(traces) -> list[dict]:
     """The records of the file that write_traces writes for traces, one per
     line."""
+    return [json.loads(line) for line in written_lines(traces)]
+
+
+def plain_trace_lines(traces) -> list[str]:
+    """The lines of the file that write_traces writes for traces, each
+    record built plainly from the library's record functions, with the
+    changed actors found by comparing snapshots address by address, and
+    encoded on its own by json.dumps."""
+    records: list[dict] = []
+    for trace_index, trace in enumerate(traces):
+        initial = formats.config_to_record(trace.initial, formats.actor_to_record)
+        records.append({"record": "trace", "trace": trace_index, "initial": initial})
+        for index, transition in enumerate(trace.steps):
+            before, after = dict(transition.source.actors), dict(transition.target.actors)
+            changed = []
+            for address in sorted(before.keys() | after.keys()):
+                old, new = before.get(address), after.get(address)
+                if old != new:
+                    changed.append(
+                        {
+                            "address": address,
+                            "before": None if old is None else formats.actor_to_record(address, old),
+                            "after": None if new is None else formats.actor_to_record(address, new),
+                        }
+                    )
+            records.append(
+                {
+                    "record": "transition",
+                    "trace": trace_index,
+                    "index": index,
+                    "rule": transition.rule.value,
+                    "consumed": formats.message_to_record(transition.message),
+                    "emitted": [formats.message_to_record(m) for m in transition.emitted],
+                    "changed": changed,
+                }
+            )
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
+def written_lines(traces) -> list[str]:
+    """The lines write_traces writes for traces."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "traces.jsonl"
         formats.write_traces(traces, path)
-        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        return path.read_text(encoding="utf-8").splitlines()
 
 
 def read_records(records) -> list[Trace]:

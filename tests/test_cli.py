@@ -290,6 +290,19 @@ class TestExplore:
         assert "state-space limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_unwritable_trace_out_exits_one(command, target, fixtures_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.jsonl" if target == "missing-directory" else tmp_path
+    argv = TestExplore.args(
+        fixtures_dir, "minimal", "minimal_requests_one.jsonl", "--trace-out", str(out)
+    )
+    assert invoke([command, *argv[1:]]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: cannot write: ")
+    assert "Traceback" not in err
+
+
 BOOKSTORE_INPUTS = {
     "workflow": "bookstore_workflow.jsonl",
     "registry": "bookstore_registry.jsonl",

@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,19 @@ from hypothesis import strategies as st
 import support
 from qosorch import cli, engine, formats
 from qosorch.conformance import Violation, check_behavior
-from qosorch.model import ClientRecord, MessageKind, QoSSpec, WsoInstance, WsoRequest
+from qosorch.model import (
+    ClientRecord,
+    Configuration,
+    MessageKind,
+    QoSSpec,
+    Trace,
+    Transition,
+    WsoInstance,
+    WsoRequest,
+    client_address,
+    instance_address,
+)
+from qosorch.registry import RegistryError, load_registry
 
 from test_model import sample_message
 
@@ -333,6 +348,134 @@ class TestSharingReader:
             again = tmp_path / path.name
             formats.write_traces(formats.read_traces(path), again)
             assert again.read_bytes() == path.read_bytes(), path.name
+
+
+# ---------------------------------------------------------------------------
+# The writer joins pre-encoded texts; its lines are those of plain records.
+
+class TestWriterBytes:
+    def test_corpus_files_are_the_plain_lines(self, sharing_corpus):
+        for path in sharing_corpus:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines == support.plain_trace_lines(formats.read_traces(path)), path.name
+
+    def test_explored_files_are_the_plain_lines(self, minimal_two, pair_one):
+        for fixture_set in (minimal_two, pair_one):
+            traces = engine.explore(
+                fixture_set.workflow, fixture_set.registry, fixture_set.requests, max_transitions=200
+            )[:300]
+            assert support.written_lines(traces) == support.plain_trace_lines(traces)
+
+    def test_a_removed_actor_and_several_replies_are_the_plain_lines(self, minimal_one):
+        base = engine.run(minimal_one.workflow, minimal_one.registry, minimal_one.requests, seed=0)
+        final, last = base.final, base.steps[-1]
+        client_id = minimal_one.requests[0].client_id
+        at_instance, at_client = instance_address(client_id), client_address(client_id)
+        replies = tuple(step.message for step in base.steps[:3])
+        client = final.actor(at_client)
+        answered = dataclasses.replace(client, received=client.received + replies)
+        # The instance goes and the client receives three more replies; then
+        # the instance comes back as the same object and the client as it was.
+        removed = Configuration(
+            actors=tuple(
+                (address, answered if address == at_client else snapshot)
+                for address, snapshot in final.actors
+                if address != at_instance
+            )
+        )
+        restored = Configuration(actors=final.actors)
+        forged = Trace(
+            initial=base.initial,
+            steps=base.steps
+            + (
+                Transition(final, last.rule, last.message, removed, replies),
+                Transition(removed, last.rule, replies[0], restored),
+            ),
+        )
+        traces = [forged, base, forged]
+        lines = support.written_lines(traces)
+        assert lines == support.plain_trace_lines(traces)
+        removal, restoral = (
+            {change["address"]: change for change in json.loads(line)["changed"]}
+            for line in lines[len(forged) - 1 : len(forged) + 1]
+        )
+        assert removal[at_instance]["after"] is None
+        assert len(removal[at_client]["after"]["received"]) == len(client.received) + 3
+        assert restoral[at_instance]["before"] is None
+
+    def test_each_part_and_snapshot_is_encoded_once(self, bookstore_feasible, monkeypatch, tmp_path):
+        """Count the builds of each object's text and the encoder calls of
+        one write: encoding a snapshot again for each line it appears in
+        makes the counts exceed one per object."""
+        requests = [
+            dataclasses.replace(bookstore_feasible.requests[0], client_id=f"c{i:02d}")
+            for i in range(40)
+        ]
+        trace = engine.run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, 0)
+        parts, snapshots = Counter(), Counter()
+        encodes = 0
+
+        def counted(build, counter):
+            def wrapper(*args):
+                counter[id(args[-1])] += 1
+                return build(*args)
+
+            return wrapper
+
+        def encode(value):
+            nonlocal encodes
+            encodes += 1
+            return original(value)
+
+        original = formats._encode
+        for name in ("_activity_record", "request_to_record", "message_to_record"):
+            monkeypatch.setattr(formats, name, counted(getattr(formats, name), parts))
+        actor_text = counted(formats._TextMemo._actor_text, snapshots)
+        monkeypatch.setattr(formats._TextMemo, "_actor_text", actor_text)
+        monkeypatch.setattr(formats, "_encode", encode)
+        formats.write_traces([trace], tmp_path / "trace.jsonl")
+        # A `before` that took no text from the `after` it repeats would
+        # build that snapshot's text a second time.
+        assert max(parts.values()) == 1 and max(snapshots.values()) == 1
+        # Besides the parts: per snapshot at most three fields and the
+        # address of its change, and per transition its rule.
+        assert encodes <= sum(parts.values()) + 4 * len(snapshots) + len(trace)
+
+
+# ---------------------------------------------------------------------------
+# A file that is not UTF-8 is an input error naming the line.
+
+LOADERS = {
+    "workflow": formats.load_workflow,
+    "registry": load_registry,
+    "requests": formats.load_requests,
+    "traces": formats.read_traces,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_line_that_is_not_utf8_is_a_format_error_naming_it(kind, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n\r\n{\"record\": \"\xff\xfe\"}\n")
+    with pytest.raises((formats.FormatError, RegistryError), match=f"^{re.escape(str(path))}:3: not UTF-8: "):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("option", ["--workflow", "--registry", None])
+def test_a_file_that_is_not_utf8_exits_one(option, fixtures_dir, tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\xff\xfe{}\n")
+    argv = ["check", str(path)]
+    if option is not None:
+        inputs = {
+            "--workflow": fixtures_dir / "bookstore_workflow.jsonl",
+            "--registry": fixtures_dir / "bookstore_registry.jsonl",
+            "--requests": fixtures_dir / "bookstore_requests_feasible.jsonl",
+        }
+        inputs[option] = path
+        argv = ["run", *(str(arg) for pair in inputs.items() for arg in pair)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {path}:1: not UTF-8: ")
 
 
 def test_violation_records():
