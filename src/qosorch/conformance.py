@@ -215,53 +215,38 @@ def _stamp(checked: Checked, *judges) -> Verdict:
 # ---------------------------------------------------------------------------
 # Behavior layer
 
-def _may_lose(before, after) -> bool:
-    """Whether replacing a snapshot can take away an address that resolves
-    (see :func:`resolves`) to it: only removing the actor, replacing an
-    instance with another type, or an instance losing an activity or a bound
-    service, can.  Activities are compared by position, so a reordering also
-    counts as a possible loss."""
-    if after is None:
-        return True
-    if not isinstance(before, WsoInstance):
-        return False
-    if not isinstance(after, WsoInstance):
-        return True
-    return len(after.activities) < len(before.activities) or any(
-        b is not a and (b.aa_name != a.aa_name or (b.ws.bound and not a.ws.bound))
-        for b, a in zip(before.activities, after.activities)
-    )
-
-
 def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
     """(property, witness) for the snapshots and messages a transition
     introduces, for the pending addresses it leaves unresolvable, and for a
-    transition the rule relation does not hold of."""
+    transition the rule relation does not hold of; the snapshots and the
+    lost addresses only where the relation rejects (see check_behavior)."""
     source, target, transition = _change(place)
     notes: list[tuple[str, str]] = []
     changes = source.changes(target)
+    relation = [] if transition is None else _relation_notes(transition, changes)
     lost: set[str] = set()  # pending addresses that resolve in the source only
-    if any(before is not None and _may_lose(before, after) for _, before, after in changes):
+    if transition is None or relation:
         lost = {
             a
             for m in target.undelivered
             for a in (m.sender, m.receiver)
             if resolves(source, a) and not resolves(target, a)
         }
-    for address, before, after in changes:
-        if after is None:
-            continue
-        error = snapshot_error(address, after)
-        if error is not None:
-            notes.append((P_MESSAGE_VOCABULARY, error))
-        if not isinstance(after, WsoInstance):
-            continue
-        if not isinstance(after.state, InstanceState):
-            witness = f"instance {after.client_id!r} has state {after.state!r}"
-            notes.append((P_STATE_DOMAIN, witness))
-        for aa in after.activities:
-            if not isinstance(aa.state, ActivityState):
-                notes.append((P_STATE_DOMAIN, f"activity {aa.aa_name!r} has state {aa.state!r}"))
+        for address, _, after in changes:
+            if after is None:
+                continue
+            error = snapshot_error(address, after)
+            if error is not None:
+                notes.append((P_MESSAGE_VOCABULARY, error))
+            if not isinstance(after, WsoInstance):
+                continue
+            if not isinstance(after.state, InstanceState):
+                witness = f"instance {after.client_id!r} has state {after.state!r}"
+                notes.append((P_STATE_DOMAIN, witness))
+            for aa in after.activities:
+                if not isinstance(aa.state, ActivityState):
+                    witness = f"activity {aa.aa_name!r} has state {aa.state!r}"
+                    notes.append((P_STATE_DOMAIN, witness))
     new_messages = target.undelivered if transition is None else transition.emitted
     for message in new_messages:
         schema_error = message_schema_error(message)
@@ -284,8 +269,7 @@ def _behavior_notes(_initial, place) -> list[tuple[str, str]]:
     for message, address in unresolvable:
         witness = f"{message.kind.value} references unresolvable address {address!r}"
         notes.append((P_MESSAGE_VOCABULARY, witness))
-    if transition is not None:
-        notes.extend(_relation_notes(transition, changes))
+    notes.extend(relation)
     return notes
 
 
@@ -551,13 +535,26 @@ def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
 def check_behavior(checked: Checked) -> Verdict:
     """Check traces against the rule relation, one transition at a time.
 
-    Each snapshot and message is checked where it first appears, and each
-    pending address where it first fails to resolve.  Each transition is
-    judged by the row of the relation whose condition holds, read off its
-    source, its target and its emitted messages; nothing is executed again.
-    The selection decision itself is taken as recorded (R5 must emit one
+    Each message is checked where it first appears, and each pending
+    address where it first fails to resolve.  Each transition is judged by
+    the row of the relation whose condition holds, read off its source, its
+    target and its emitted messages; nothing is executed again.  The
+    selection decision itself is taken as recorded (R5 must emit one
     reply, but the selector is free to grant or deny at this layer);
     everything downstream of the decision must follow the rules.
+
+    Snapshots, and addresses that a change takes away, are checked only in
+    the initial configuration and at transitions the relation rejects.  An
+    accepted transition changes only what its row changes: the client's
+    instance, built from the source's with enum states and with every
+    activity and binding kept (R2b adds bindings, R1 creates the instance
+    anew), and the client records the source holds.  So its snapshots are as
+    well-formed as the source's, every address that resolved still does, and
+    a fault it inherits was reported where it first appeared.  Its emitted
+    messages are still checked, since the relation does not vouch for all
+    of them: R5's reply carries the recorded decision, R1's select goes to
+    the selector whether or not one exists, and R6 calls a service whose
+    binding it never reads.
     """
     return _stamp(checked, (_transitions, _behavior_notes))
 

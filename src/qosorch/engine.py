@@ -93,6 +93,8 @@ def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Regis
 # the consumed message, the client's instance and the activity the receiver
 # address names (None where there is none).  It refuses nothing: it returns the
 # instance's new snapshot (None: unchanged) and the messages the rule emits.
+# It changes only the fields its rule changes and keeps every other field of
+# the source, whatever that holds.
 
 def _ws_output_digest(inputs: Params | None) -> str:
     payload = json.dumps(dict(inputs or ()), sort_keys=True)
@@ -148,7 +150,7 @@ def _client_reply(kind: MessageKind, instance: WsoInstance, **payload) -> Messag
 
 
 def _apply_r2a(config, message, instance, aa, selector):
-    denied = replace(instance, state=InstanceState.DENIED, output_parameters=None)
+    denied = replace(instance, state=InstanceState.DENIED)
     reply = _client_reply(MessageKind.DENIED_REPLY, instance)
     return denied, [reply]
 
@@ -161,21 +163,14 @@ def _apply_r2b(config, message, instance, aa, selector):
     activities = tuple(
         replace(
             aa,
-            qos=allocated[aa.aa_name].qos,
+            qos=binding.qos,
             input_parameters=inputs[aa.aa_name],
-            output_parameters=None,
-            state=ActivityState.PREPARING,
-            ws=replace(
-                aa.ws,
-                endpoint=allocated[aa.aa_name].candidate_id,
-                advertised_qos=allocated[aa.aa_name].qos,
-            ),
+            ws=replace(aa.ws, endpoint=binding.candidate_id, advertised_qos=binding.qos),
         )
         for aa in instance.activities
+        for binding in (allocated[aa.aa_name],)
     )
-    granted = replace(
-        instance, state=InstanceState.GRANTED, activities=activities, output_parameters=None
-    )
+    granted = replace(instance, state=InstanceState.GRANTED, activities=activities)
     cid = message.client_id
     emitted = [_client_reply(MessageKind.GRANTED_REPLY, instance)]
     emitted.extend(build_message(MessageKind.INVOKE, cid, aa.aa_name) for aa in granted.activities)
@@ -183,8 +178,9 @@ def _apply_r2b(config, message, instance, aa, selector):
 
 
 def _apply_r3(config, message, instance, aa, selector):
-    servicing = replace(instance, state=InstanceState.SERVICING, output_parameters=None)
-    return servicing, []
+    if instance.state is InstanceState.SERVICING:
+        return None, []
+    return replace(instance, state=InstanceState.SERVICING), []
 
 
 def _apply_r4a(config, message, instance, aa, selector):
@@ -201,12 +197,10 @@ def _apply_r4b(config, message, instance, aa, selector):
 
 
 def _apply_r6(config, message, instance, aa, selector):
-    invoking = replace(aa, output_parameters=None, state=ActivityState.INVOKING)
+    invoking = replace(aa, state=ActivityState.INVOKING)
     cid = message.client_id
     ack = build_message(MessageKind.INVOKE_ACK, cid, aa.aa_name)
-    invoke_ws = build_message(
-        MessageKind.INVOKE_WS, cid, aa.aa_name, params=aa.input_parameters or ()
-    )
+    invoke_ws = build_message(MessageKind.INVOKE_WS, cid, aa.aa_name, params=aa.input_parameters)
     return instance.with_activity(invoking), [ack, invoke_ws]
 
 

@@ -423,6 +423,21 @@ class TestCheck:
         assert code == cli.EXIT_VIOLATION
         assert "transition=" in captured.err
 
+    def test_an_inherited_fault_is_reported_once(self, tmp_path, capsys):
+        """A client record relabelled from the start is replaced with each
+        reply it receives; the fault is reported where it first appears."""
+        text = GOLDEN_FILE.read_text(encoding="utf-8")
+        relabelled = text.replace('"client_id": "c1", "received"', '"client_id": "c9", "received"')
+        # The initial record, and the before and after of each of two replies.
+        assert relabelled.count('"client_id": "c9", "received"') == 5
+        path = tmp_path / "relabelled.jsonl"
+        path.write_text(relabelled, encoding="utf-8")
+
+        assert invoke(["check", str(path)]) == cli.EXIT_VIOLATION
+        assert capsys.readouterr().err.splitlines() == [
+            "violation message-vocabulary trace=0: client record at 'ca:c1' labelled 'c9'"
+        ]
+
     def test_unreadable_trace_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
         path.write_text("{broken\n", encoding="utf-8")

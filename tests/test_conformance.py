@@ -38,8 +38,11 @@ from qosorch.model import (
     MessageKind,
     QoSSpec,
     RuleId,
+    SS_ADDRESS,
     Trace,
     Transition,
+    WsBinding,
+    WsoInstance,
     client_address,
     instance_address,
 )
@@ -216,6 +219,106 @@ class TestBehavior:
             (grant["index"], P_MESSAGE_VOCABULARY)
         ]
         assert "'aa:c1:nosuch'" in unresolvable[0].witness
+
+
+def with_unread_outputs(instance):
+    """instance given outputs that no rule reads: on the instance while it
+    waits, on its activities while it is granted; else instance itself."""
+    forged = (("forged", "x"),)
+    if instance.state is InstanceState.WAITING:
+        return dataclasses.replace(instance, output_parameters=forged)
+    if instance.state is InstanceState.GRANTED:
+        activities = tuple(
+            dataclasses.replace(a, output_parameters=forged) for a in instance.activities
+        )
+        return dataclasses.replace(instance, activities=activities)
+    return instance
+
+
+def only_notes(source, transition):
+    """(property, index, witness) of each behavior note on the trace of one
+    transition from source."""
+    verdict = check_behavior([Trace(source, (transition,))])
+    return [(v.property_id, v.transition_index, v.witness) for v in verdict.violations]
+
+
+class TestAcceptedTransitions:
+    """A transition the relation accepts has its snapshots taken as built by
+    its row, and its emitted messages still checked."""
+
+    @pytest.mark.parametrize(
+        "name, rules",
+        [
+            ("minimal_one", {RuleId.R2B_SELECT_GRANTED, RuleId.R6_AA_INVOKE}),
+            ("pair_one", {RuleId.R2B_SELECT_GRANTED, RuleId.R6_AA_INVOKE}),
+            ("pair_two_denied", {RuleId.R2A_SELECT_DENIED}),
+        ],
+    )
+    def test_engine_stays_inside_the_relation_on_forged_sources(self, name, rules, request):
+        """Every step the engine takes from a well-formed source is in the
+        relation, also where the source holds fields that no rule reads."""
+        fixture_set = request.getfixturevalue(name)
+        graph = engine.explore_graph(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests, 200
+        )
+        stepped = collections.Counter()
+        for node in graph.edges:
+            source = with_instance(node, with_unread_outputs)
+            if source == node or not check_behavior([Trace(source)]).passed:
+                continue
+            for head in source.heads:
+                try:
+                    transition = engine.step(source, head)
+                except engine.EngineError:
+                    continue
+                assert only_notes(source, transition) == [], transition.rule
+                stepped[transition.rule] += 1
+        assert rules <= stepped.keys(), stepped
+
+    def test_a_select_to_a_missing_selector_is_reported(self, minimal_one):
+        """R1 does not read the selector, so the relation accepts a creation
+        whose selection request goes nowhere."""
+        initial = engine.initial_configuration(
+            minimal_one.workflow, minimal_one.registry, minimal_one.requests
+        )
+        actors = tuple((a, s) for a, s in initial.actors if a != SS_ADDRESS)
+        source = Configuration(actors, initial.undelivered)
+        assert check_behavior([Trace(source)]).passed
+        creation = engine.step(source, source.heads[0])
+        assert creation.rule is RuleId.R1_WSOIM_CREATE
+        assert only_notes(source, creation) == [
+            (P_MESSAGE_VOCABULARY, 0, "select references unresolvable address 'ss'")
+        ]
+
+    def test_a_call_of_an_unbound_service_is_reported(self, minimal_one):
+        """R6 does not read the activity's binding, so the relation accepts
+        an invocation whose service call goes nowhere."""
+        graph = engine.explore_graph(
+            minimal_one.workflow, minimal_one.registry, minimal_one.requests, 200
+        )
+        node, invoke = next(
+            (node, m)
+            for node in graph.edges
+            for m in node.heads
+            if m.kind is MessageKind.INVOKE
+        )
+
+        def unbound(instance):
+            activities = tuple(dataclasses.replace(a, ws=WsBinding()) for a in instance.activities)
+            return dataclasses.replace(instance, activities=activities)
+
+        source = with_instance(node, unbound)
+        assert next(source.instances())[1].state is InstanceState.GRANTED
+        assert check_behavior([Trace(source)]).passed
+        invocation = engine.step(source, invoke)
+        assert invocation.rule is RuleId.R6_AA_INVOKE
+        assert only_notes(source, invocation) == [
+            (
+                P_MESSAGE_VOCABULARY,
+                0,
+                "invokeWs references unresolvable address 'ws:c1:Echo Input'",
+            )
+        ]
 
 
 def created(records):
@@ -466,15 +569,10 @@ class TestDenialOracle:
 
 
 def with_instance(config, edit):
-    """config with its one instance replaced by edit(instance), or removed
+    """config with each instance replaced by edit(instance), or removed
     where that is None."""
-    (address, instance), = config.instances()
-    updated = edit(instance)
-    actors = tuple(
-        (a, updated if a == address else s)
-        for a, s in config.actors
-        if a != address or updated is not None
-    )
+    edited = ((a, edit(s) if isinstance(s, WsoInstance) else s) for a, s in config.actors)
+    actors = tuple((a, s) for a, s in edited if s is not None)
     return Configuration(actors=actors, undelivered=config.undelivered)
 
 

@@ -429,6 +429,23 @@ class TestRun:
         ]
         assert len(denied) == 1
 
+    def test_no_step_replaces_a_snapshot_with_an_equal_copy(self, bookstore_feasible):
+        """A rule that leaves an actor as it is keeps the source's object, as
+        R3 does at an instance that is already Servicing."""
+        requests = [
+            dataclasses.replace(bookstore_feasible.requests[0], client_id=f"c{i}")
+            for i in range(3)
+        ]
+        trace = run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, seed=0)
+        copies = [
+            (index, address)
+            for index, t in enumerate(trace.steps)
+            for address, after in t.target.actors
+            for before in (t.source.actor(address),)
+            if before is not after and before == after
+        ]
+        assert copies == []
+
     def test_no_requests_is_an_empty_trace(self, minimal_one):
         trace = run(minimal_one.workflow, minimal_one.registry, [], seed=0)
         assert len(trace) == 0
