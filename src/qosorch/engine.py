@@ -261,11 +261,14 @@ def _covers(config, message, instance, aa) -> bool:
 
 
 def _completes(config, message, instance, aa) -> bool:
-    """R4a: every activity of the servicing instance has returned, and no
-    other notification for the instance is pending."""
+    """R4a: every activity of the servicing instance has returned its
+    outputs, and no other notification for the instance is pending."""
     return (
         getattr(instance, "state", None) is InstanceState.SERVICING
-        and all(a.state is ActivityState.RETURNED for a in instance.activities)
+        and all(
+            a.state is ActivityState.RETURNED and a.output_parameters is not None
+            for a in instance.activities
+        )
         and not any(
             m.kind is MessageKind.NOTIFY and m != message
             for m in config.pending_to(instance_address(message.client_id))

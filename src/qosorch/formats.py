@@ -15,12 +15,14 @@ actor's ``before`` matches the source configuration, the parts of its
 ``after`` that repeat ``before`` (an instance's request and activities, a
 client's received messages), and a consumed message that repeats a pending
 one, are taken from the source instead of parsed again.  The result equals
-a plain parse.  One memo per read call turns each actor and activity
-snapshot into its record once.
+a plain parse.  One identity memo per read call (:class:`_Memo`) records
+each request, activity and message object once; a snapshot is the
+``before`` of at most one change, so its own record is built only there.
 
-The trace writer encodes each part once: one memo per write call holds the
-JSON text of each activity, request and message, and of each address's
-latest snapshot, so a ``before`` reuses the text of the ``after`` it
+The trace writer encodes each part once: a memo of the same kind per write
+call holds the JSON text of each activity, request and message, initial
+configuration and shared transition, and each address's latest snapshot is
+kept with its text, so a ``before`` reuses the text of the ``after`` it
 repeats.  Lines are joined from these texts, byte for byte what
 ``json.dumps(record, sort_keys=True)`` gives.
 """
@@ -92,10 +94,10 @@ def _read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield line_no, record
 
 
-def _load_records(path: str | Path, kind: str, parse) -> list:
-    """Each record of a file that holds only records of one kind, parsed;
-    a record of another kind, or one whose parse raises a ValueError, is a
-    FormatError that names the file and the line."""
+def _load_records(path: str | Path, kind: str, parse) -> list[tuple[int, object]]:
+    """Each record of a file that holds only records of one kind, parsed,
+    with its line number; a record of another kind, or one whose parse
+    raises a ValueError, is a FormatError that names the file and the line."""
     parsed = []
     for line_no, record in _read_records(path):
         if record["record"] != kind:
@@ -103,7 +105,7 @@ def _load_records(path: str | Path, kind: str, parse) -> list:
                 f"{path}:{line_no}: expected a {kind} record, got {record['record']!r}"
             )
         try:
-            parsed.append(parse(record))
+            parsed.append((line_no, parse(record)))
         except ValueError as exc:
             raise FormatError(f"{path}:{line_no}: {exc}") from exc
     return parsed
@@ -226,8 +228,9 @@ def workflow_from_record(record: dict) -> WorkflowDef:
 def load_workflow(path: str | Path) -> WorkflowDef:
     workflows = _load_records(path, "workflow", workflow_from_record)
     if len(workflows) != 1:
-        raise FormatError(f"{path}: expected exactly one workflow record, got {len(workflows)}")
-    return workflows[0]
+        where = f"{path}:{workflows[1][0]}" if workflows else path  # the second record's line
+        raise FormatError(f"{where}: expected exactly one workflow record, got {len(workflows)}")
+    return workflows[0][1]
 
 
 def dump_workflow(workflow: WorkflowDef, path: str | Path) -> None:
@@ -257,7 +260,7 @@ def request_from_record(record: dict) -> WsoRequest:
 
 
 def load_requests(path: str | Path) -> list[WsoRequest]:
-    return _load_records(path, "request", request_from_record)
+    return [request for _, request in _load_records(path, "request", request_from_record)]
 
 
 def dump_requests(requests: Iterable[WsoRequest], path: str | Path) -> None:
@@ -307,9 +310,14 @@ def _activity_from_record(record: dict) -> ActivityActor:
     )
 
 
-def actor_to_record(address: str, snapshot, activity_record=_activity_record) -> dict:
-    """An actor's record; an instance's activities are recorded by
-    activity_record."""
+def _record_of(part, to_record) -> dict:
+    return to_record(part)
+
+
+def actor_to_record(address: str, snapshot, part=_record_of) -> dict:
+    """An actor's record; an instance's request and activities, and a
+    client's received messages, are recorded by ``part(value, to_record)``,
+    which may give the record that to_record built before for that value."""
     if isinstance(snapshot, ManagerState):
         return {
             "address": address,
@@ -326,17 +334,17 @@ def actor_to_record(address: str, snapshot, activity_record=_activity_record) ->
         return {
             "address": address,
             "type": "instance",
-            "request": request_to_record(snapshot.request),
+            "request": part(snapshot.request, request_to_record),
             "state": snapshot.state.value,
             "output_parameters": _params_record(snapshot.output_parameters),
-            "activities": [activity_record(aa) for aa in snapshot.activities],
+            "activities": [part(aa, _activity_record) for aa in snapshot.activities],
         }
     if isinstance(snapshot, ClientRecord):
         return {
             "address": address,
             "type": "client",
             "client_id": snapshot.client_id,
-            "received": [message_to_record(m) for m in snapshot.received],
+            "received": [part(m, message_to_record) for m in snapshot.received],
         }
     raise FormatError(f"cannot serialize actor snapshot {type(snapshot).__name__}")
 
@@ -426,35 +434,30 @@ def actor_from_record(record: dict, before=None, before_record: dict | None = No
     raise FormatError(f"unknown actor type {kind!r}")
 
 
-class _RecordMemo:
-    """The canonical records of the actor and activity snapshots of one read
-    call, each built once per object.  Configurations share their
-    unchanged actors and instances their unchanged activities, so one
-    object stands in many snapshots.  Entries are keyed by identity and
-    hold their object, so no id is reused while the memo lives."""
+class _Memo:
+    """What one read or write call made of each object it met, made once
+    per object.  Configurations share their unchanged actors, instances
+    their unchanged request and activities, and channels and clients their
+    messages, so one object stands in many places.  Entries are keyed by
+    identity and hold their object, so no id is reused while the memo
+    lives."""
 
     def __init__(self) -> None:
-        self._entries: dict = {}
+        self._made: dict[int, tuple] = {}
 
-    def activity(self, aa: ActivityActor) -> dict:
-        entry = self._entries.get(id(aa))
+    def of(self, value, make):
+        entry = self._made.get(id(value))
         if entry is None:
-            entry = self._entries[id(aa)] = (aa, _activity_record(aa))
-        return entry[1]
-
-    def actor(self, address: str, snapshot) -> dict:
-        key = (address, id(snapshot))
-        entry = self._entries.get(key)
-        if entry is None:
-            record = actor_to_record(address, snapshot, self.activity)
-            entry = self._entries[key] = (snapshot, record)
+            entry = self._made[id(value)] = (value, make(value))
         return entry[1]
 
 
-def config_to_record(config: Configuration, actor_record) -> dict:
+def config_to_record(
+    config: Configuration, actor_record=actor_to_record, message_record=message_to_record
+) -> dict:
     return {
         "actors": [actor_record(address, snapshot) for address, snapshot in config.actors],
-        "undelivered": [message_to_record(m) for m in config.undelivered],
+        "undelivered": [message_record(m) for m in config.undelivered],
     }
 
 
@@ -475,30 +478,28 @@ def config_from_record(record: dict) -> Configuration:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
 
-def _consumed(config: Configuration, record) -> Message:
+def _consumed(config: Configuration, record, part=_record_of) -> Message:
     """The message a `consumed` record names: the first message pending on
-    its channel whose canonical record it is the same as, else the record
-    parsed."""
+    its channel whose canonical record, as ``part`` gives it, it is the same
+    as, else the record parsed."""
     if isinstance(record, dict):
         sender, receiver = record.get("sender"), record.get("receiver")
         if isinstance(sender, str) and isinstance(receiver, str):
             for message in config.channel(sender, receiver):
-                if _same(record, message_to_record(message)):
+                if _same(record, part(message, message_to_record)):
                     return message
     return message_from_record(record)
 
 
-def _apply_transition_record(
-    config: Configuration, record: dict, records: _RecordMemo
-) -> Transition:
-    consumed = _consumed(config, record["consumed"])
+def _apply_transition_record(config: Configuration, record: dict, records: _Memo) -> Transition:
+    consumed = _consumed(config, record["consumed"], records.of)
     emitted = tuple(message_from_record(item) for item in record["emitted"])
     rule = RuleId(record["rule"])
     changed: dict[str, object] = {}  # address -> snapshot, None when removed
     for change in record["changed"]:
         address = _text(change, "address")
         prior = config.actor(address)
-        canonical = None if prior is None else records.actor(address, prior)
+        canonical = None if prior is None else actor_to_record(address, prior, records.of)
         if change["before"] != canonical:
             raise FormatError(
                 f"changed actor {address!r}: 'before' differs from the source's snapshot"
@@ -537,7 +538,7 @@ def _reassemble(numbered: Iterable[tuple[int, dict]], path: str | Path) -> list[
             raise error(line, f"{where}: trace index {index!r} is not an integer")
         return index
 
-    records = _RecordMemo()
+    records = _Memo()
     # trace index -> (line, initial, steps so far, held records by transition index)
     by_trace: dict[int, tuple[int, Configuration, list[Transition], dict[int, tuple]]] = {}
     for line, record in numbered:
@@ -602,24 +603,20 @@ def _array(texts: Iterable[str]) -> str:
 _SLOT = "\0"
 
 
-class _TextMemo:
+class _TextMemo(_Memo):
     """The JSON texts of one write call.  Each activity, request and
-    message object is encoded once, keyed by identity and holding its
-    object.  Per address, the latest snapshot is kept with its text, so
-    the ``before`` of a change reuses the text of the ``after`` that the
-    actor's previous change wrote, and memory stays bounded by the address
-    count and the parts."""
+    message object is encoded once, and so is each initial configuration
+    and each transition kept by the caller.  Per address, the latest
+    snapshot is kept with its text, so the ``before`` of a change reuses
+    the text of the ``after`` that the actor's previous change wrote, and
+    memory stays bounded by the address count and the parts."""
 
     def __init__(self) -> None:
-        self._parts: dict = {}
+        super().__init__()
         self._latest: dict = {}
-        self._initials: dict = {}
 
     def part(self, value, to_record) -> str:
-        entry = self._parts.get(id(value))
-        if entry is None:
-            entry = self._parts[id(value)] = (value, _encode(to_record(value)))
-        return entry[1]
+        return self.of(value, lambda part: _encode(to_record(part)))
 
     def message(self, message: Message) -> str:
         return self.part(message, message_to_record)
@@ -653,14 +650,12 @@ class _TextMemo:
         return _encode(actor_to_record(address, snapshot))
 
     def initial(self, config: Configuration) -> str:
-        entry = self._initials.get(id(config))
-        if entry is None:
-            text = _object(
-                actors=_array(self.actor(address, s) for address, s in config.actors),
-                undelivered=_array(map(self.message, config.undelivered)),
-            )
-            entry = self._initials[id(config)] = (config, text)
-        return entry[1]
+        return self.of(config, self._initial)
+
+    def _initial(self, config: Configuration) -> str:
+        # The layout of config_to_record, each value an array of texts.
+        texts = config_to_record(config, self.actor, self.message)
+        return _object(**{key: _array(items) for key, items in texts.items()})
 
     def transition(self, transition: Transition) -> list[str]:
         """The text of a transition's record, split where the record's index
@@ -689,9 +684,8 @@ def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
     """Write traces one record per line, each line joined from the texts of
     one memo (:class:`_TextMemo`).  A transition that several traces share
     is encoded once per call, and so is an initial configuration; only
-    their placement differs."""
+    their placement differs.  A transition of one trace only is not kept."""
     uses = Counter(id(transition) for trace in traces for transition in trace.steps)
-    shared: dict[int, list[str]] = {}  # id(shared transition) -> its record's text, split
     texts = _TextMemo()
     with Path(path).open("w", encoding="utf-8") as out:
         for trace_index, trace in enumerate(traces):
@@ -700,12 +694,10 @@ def write_traces(traces: Sequence[Trace], path: str | Path) -> None:
             initial = texts.initial(trace.initial)
             out.write(_object(initial=initial, record='"trace"', trace=place) + "\n")
             for index, transition in enumerate(trace.steps):
-                pieces = shared.get(id(transition))
-                if pieces is None:
-                    pieces = texts.transition(transition)
-                    if uses[id(transition)] > 1:
-                        shared[id(transition)] = pieces
-                head, middle, tail = pieces
+                if uses[id(transition)] > 1:
+                    head, middle, tail = texts.of(transition, texts.transition)
+                else:
+                    head, middle, tail = texts.transition(transition)
                 out.write(head + str(index) + middle + place + tail + "\n")
 
 

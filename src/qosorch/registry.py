@@ -84,13 +84,16 @@ def load_registry(path: str | Path) -> Registry:
     from .formats import FormatError, _load_records  # formats imports this module
 
     try:
-        candidates = _load_records(path, "candidate", candidate_from_record)
+        numbered = _load_records(path, "candidate", candidate_from_record)
     except FormatError as exc:
         raise RegistryError(str(exc)) from exc
-    try:
-        return Registry.from_candidates(candidates)
-    except RegistryError as exc:
-        raise RegistryError(f"{path}: {exc}") from exc
+    seen: set[str] = set()
+    for line_no, candidate in numbered:
+        cid = candidate.candidate_id
+        if cid in seen:
+            raise RegistryError(f"{path}:{line_no}: duplicate candidate_id {cid!r}")
+        seen.add(cid)
+    return Registry.from_candidates(candidate for _, candidate in numbered)
 
 
 def dump_registry(registry: Registry, path: str | Path) -> None:

@@ -375,6 +375,9 @@ BAD_RECORDS = {
         lambda line: '{"ontology": "BookStore", "record": "workflow"}',
         "bad workflow record: 'activities'",
     ),
+    "workflow-twice": (
+        "workflow", lambda line: line, "expected exactly one workflow record, got 2"
+    ),
 }
 
 
@@ -388,6 +391,19 @@ def test_bad_record_is_an_input_error_naming_its_line(case, fixtures_dir, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {edited}:2: {message}\n"
+
+
+def test_a_repeated_candidate_id_is_an_input_error_naming_its_line(
+    fixtures_dir, tmp_path, capsys
+):
+    argv, edited = edited_inputs(
+        fixtures_dir, tmp_path, "registry", lambda lines: [lines[0], *lines]
+    )
+    candidate_id = json.loads(edited.read_text().splitlines()[0])["candidate_id"]
+    assert invoke(["run", *argv]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {edited}:2: duplicate candidate_id {candidate_id!r}\n"
 
 
 class TestCheck:
@@ -569,8 +585,8 @@ class TestCheck:
 def test_engine_error_exits_two_and_writes_no_trace(
     command, bookstore_args, tmp_path, monkeypatch, capsys
 ):
-    """R7 dropping the service result stops the engine when R4a maps the
-    outputs (see test_mutants)."""
+    """R7 dropping the service result leaves R4a unable to fire, so the
+    instance ends Servicing and the engine stops (see test_mutants)."""
     monkeypatch.setitem(
         engine._RULES,
         MessageKind.INVOKE_REPLY,
@@ -581,7 +597,7 @@ def test_engine_error_exits_two_and_writes_no_trace(
     assert invoke(argv) == cli.EXIT_ENGINE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("engine error: ") and "has not returned outputs" in captured.err
+    assert captured.err == "engine error: run ended with instance 'c1' in Servicing\n"
     assert not out.exists()
 
 

@@ -320,6 +320,29 @@ class TestAcceptedTransitions:
             )
         ]
 
+    def test_a_notify_with_an_activity_lacking_outputs_fires_r4b(self, pair_one):
+        """R4a needs every activity's outputs in the engine as in the
+        relation, so a last notify where one Returned activity has none
+        changes nothing (R4b), and the relation accepts that step."""
+        graph = engine.explore_graph(pair_one.workflow, pair_one.registry, pair_one.requests, 200)
+        node, notify = next(
+            (node, m)
+            for node in graph.edges
+            for m in node.heads
+            if engine.rule_for(node, m) is RuleId.R4A_NOTIFY_ALL_RETURNED
+        )
+
+        def first_without_outputs(instance):
+            first = dataclasses.replace(instance.activities[0], output_parameters=None)
+            return instance.with_activity(first)
+
+        source = with_instance(node, first_without_outputs)
+        assert next(source.instances())[1].activities[0].state is ActivityState.RETURNED
+        assert engine.enabled(source) == [(notify, RuleId.R4B_NOTIFY_SOME_PENDING)]
+        transition = engine.step(source, notify)
+        assert transition.rule is RuleId.R4B_NOTIFY_SOME_PENDING
+        assert only_notes(source, transition) == []
+
 
 def created(records):
     """The instance snapshot that the R1 record, transition 0 on line 2,

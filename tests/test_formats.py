@@ -55,6 +55,18 @@ class TestWorkflowAndRequestFiles:
         with pytest.raises(formats.FormatError):
             formats.load_workflow(path)
 
+    def test_a_second_workflow_record_is_a_format_error_naming_its_line(
+        self, tmp_path, bookstore_feasible
+    ):
+        path = tmp_path / "wf.jsonl"
+        formats.dump_workflow(bookstore_feasible.workflow, path)
+        path.write_text("\n" + path.read_text(encoding="utf-8") * 2, encoding="utf-8")
+        with pytest.raises(
+            formats.FormatError,
+            match=f"^{re.escape(str(path))}:3: expected exactly one workflow record, got 2$",
+        ):
+            formats.load_workflow(path)
+
     def test_request_round_trip(self, tmp_path):
         requests = [
             WsoRequest("c1", "Shop", {"k": "v"}, QoSSpec(10, 2)),
@@ -342,6 +354,32 @@ class TestSharingReader:
         assert outcome(lambda r: formats._consumed(source, r), consumed) == outcome(
             formats.message_from_record, consumed
         )
+
+    def test_each_part_record_is_built_once_per_read(self, bookstore_feasible, monkeypatch, tmp_path):
+        """Count the record builds of each request, activity and message
+        object while reading a 40-client run: a `before` or a pending
+        message whose parts were recorded again makes a count exceed one."""
+        requests = [
+            dataclasses.replace(bookstore_feasible.requests[0], client_id=f"c{i:02d}")
+            for i in range(40)
+        ]
+        trace = engine.run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, 0)
+        path = tmp_path / "trace.jsonl"
+        formats.write_traces([trace], path)
+        builds, built = Counter(), []
+
+        def counted(build):
+            def wrapper(value):
+                builds[id(value)] += 1
+                built.append(value)  # held, so that no id is reused
+                return build(value)
+
+            return wrapper
+
+        for name in ("_activity_record", "request_to_record", "message_to_record"):
+            monkeypatch.setattr(formats, name, counted(getattr(formats, name)))
+        assert formats.read_traces(path) == [trace]
+        assert len(builds) > 40 and max(builds.values()) == 1
 
     def test_write_read_write_is_byte_identical(self, sharing_corpus, tmp_path):
         for path in sharing_corpus:

@@ -16,7 +16,6 @@ import pytest
 from qosorch import engine
 from qosorch.conformance import P_RULE_REPLAY, check_pyramid
 from qosorch.model import ActivityState, InstanceState, MessageKind, RuleId, Trace
-from qosorch.selection import IncompleteOutputsError
 
 LAYERS = ("behavior", "system", "service")
 
@@ -164,25 +163,22 @@ def test_notify_at_a_granted_instance_is_an_equivalent_mutant(
 def test_r7_dropping_the_result_stops_the_engine_and_fails_behavior_before(
     monkeypatch, bookstore_feasible
 ):
-    """R7 returning no outputs makes R4a's output mapping raise, so the
-    engine writes no trace; the transitions it took before are already
-    outside the rule relation at the first return."""
+    """R7 returning no outputs leaves R4a unable to fire, so the instance
+    ends Servicing and the engine writes no trace; the transitions it took
+    are already outside the rule relation at the first return."""
     monkeypatch.setitem(
         engine._RULES,
         MessageKind.INVOKE_REPLY,
         swapped(MessageKind.INVOKE_REPLY, RuleId.R7_AA_RETURN, applier=r7_drops_result),
     )
     f = bookstore_feasible
-    with pytest.raises(IncompleteOutputsError):
+    with pytest.raises(engine.EngineError, match="in Servicing"):
         engine.run(f.workflow, f.registry, f.requests, seed=0)
     rng = random.Random(0)
     config = initial = engine.initial_configuration(f.workflow, f.registry, f.requests)
     steps = []
     while config.heads:
-        try:
-            transition = engine.step(config, config.heads[rng.randrange(len(config.heads))])
-        except IncompleteOutputsError:
-            break
+        transition = engine.step(config, config.heads[rng.randrange(len(config.heads))])
         steps.append(transition)
         config = transition.target
     returns = [i for i, t in enumerate(steps) if t.rule is RuleId.R7_AA_RETURN]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qosorch.model import QoSSpec
@@ -37,7 +39,7 @@ def test_duplicate_id_rejected(tmp_path):
         ' "record": "candidate", "response_time_ms": 1}'
     )
     path.write_text(line + "\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(RegistryError, match="duplicate"):
+    with pytest.raises(RegistryError, match=f"^{re.escape(str(path))}:2: duplicate candidate_id 'x'$"):
         load_registry(path)
 
 
