@@ -36,7 +36,6 @@ uses.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -75,6 +74,7 @@ from .model import (
     receiver_role,
     resolves,
     service_address,
+    sha256,
     snapshot_error,
     state_text,
 )
@@ -405,6 +405,11 @@ def _r4a(t, instance, aa):
     return completed, (_reply(MessageKind.COMPLETED_REPLY, instance, params=outputs),)
 
 
+def _invokable(t, instance, aa) -> bool:
+    """R6: the activity is Preparing and has its inputs."""
+    return getattr(aa, "state", None) is ActivityState.PREPARING and aa.input_parameters is not None
+
+
 def _r6(t, instance, aa):
     """The activity is Invoking; an acknowledgement to the instance, then a
     call of its service with its inputs."""
@@ -439,7 +444,7 @@ def _r8(t, instance, aa):
     12 hex digits of the SHA-256 of its inputs as a JSON object, keys sorted."""
     cid, name = t.message.client_id, aa.aa_name
     text = _SORTED_JSON(dict(t.message.params or ()))
-    result = f"{aa.ws.endpoint}:{hashlib.sha256(text.encode('utf-8')).hexdigest()[:12]}"
+    result = f"{aa.ws.endpoint}:{sha256(text.encode('utf-8')).hexdigest()[:12]}"
     reply = Message(
         MessageKind.INVOKE_REPLY, service_address(cid, name), activity_address(cid, name), cid,
         params=(("result", result),),
@@ -461,7 +466,7 @@ _RELATION: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable], ...]] = {
         (RuleId.R4A_NOTIFY_ALL_RETURNED, _completes, _r4a),
         (RuleId.R4B_NOTIFY_SOME_PENDING, _in(InstanceState.SERVICING), lambda *_: (None, ())),
     ),
-    MessageKind.INVOKE: ((RuleId.R6_AA_INVOKE, _in(ActivityState.PREPARING), _r6),),
+    MessageKind.INVOKE: ((RuleId.R6_AA_INVOKE, _invokable, _r6),),
     MessageKind.INVOKE_REPLY: ((RuleId.R7_AA_RETURN, _in(ActivityState.INVOKING), _r7),),
     MessageKind.INVOKE_WS: (
         (RuleId.R8_WS_INVOKE, lambda t, instance, aa: aa is not None and aa.ws.bound, _r8),

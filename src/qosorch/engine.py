@@ -14,7 +14,6 @@ configuration self-contained for replay.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
@@ -47,6 +46,7 @@ from .model import (
     message_schema_error,
     parse_address,
     receiver_role,
+    sha256,
     state_text,
 )
 from .registry import Registry
@@ -98,7 +98,7 @@ def default_selector(request: WsoRequest, workflow: WorkflowDef, registry: Regis
 
 def _ws_output_digest(inputs: Params | None) -> str:
     payload = json.dumps(dict(inputs or ()), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    return sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def _manager_workflow(config: Configuration) -> WorkflowDef:
@@ -276,6 +276,11 @@ def _completes(config, message, instance, aa) -> bool:
     )
 
 
+def _invokable(config, message, instance, aa) -> bool:
+    """R6: the activity is Preparing and has the inputs to call its service with."""
+    return getattr(aa, "state", None) is ActivityState.PREPARING and aa.input_parameters is not None
+
+
 def _bound(config, message, instance, aa) -> bool:
     return isinstance(getattr(aa, "state", None), ActivityState) and aa.ws.bound
 
@@ -294,7 +299,7 @@ _RULES: dict[MessageKind, tuple[tuple[RuleId, Callable, Callable[..., bool]], ..
         (RuleId.R4A_NOTIFY_ALL_RETURNED, _apply_r4a, _completes),
         (RuleId.R4B_NOTIFY_SOME_PENDING, _apply_r4b, _in(InstanceState.SERVICING)),
     ),
-    MessageKind.INVOKE: ((RuleId.R6_AA_INVOKE, _apply_r6, _in(ActivityState.PREPARING)),),
+    MessageKind.INVOKE: ((RuleId.R6_AA_INVOKE, _apply_r6, _invokable),),
     MessageKind.INVOKE_REPLY: ((RuleId.R7_AA_RETURN, _apply_r7, _in(ActivityState.INVOKING)),),
     MessageKind.INVOKE_WS: ((RuleId.R8_WS_INVOKE, _apply_r8, _bound),),
 }
@@ -428,15 +433,13 @@ def run(
     pseudo-randomly by seed.  Equal inputs and seed give identical traces."""
     rng = random.Random(seed)
     initial = initial_configuration(workflow, registry, requests)
-    config = initial
+    config, heads = initial, list(initial.heads)
     steps: list[Transition] = []
-    while True:
-        options = config.heads
-        if not options:
-            break
-        transition = step(config, options[rng.randrange(len(options))], selector=selector)
+    while heads:
+        transition = step(config, heads[rng.randrange(len(heads))], selector=selector)
         steps.append(transition)
         config = transition.target
+        config.update_heads(heads)
     _check_terminal(config)
     return Trace(initial=initial, steps=steps)
 
@@ -510,17 +513,22 @@ def explore_graph(
     edges: dict[Configuration, tuple[Transition, ...]] = {}
     terminals: list[Configuration] = []
     below: dict[Configuration, tuple[int, int]] = {}  # finished node -> (paths, longest)
-    stack: list[tuple[Configuration, list[Transition]]] = [(initial, [])]
+    # each stacked node with its heads and the out-edges found so far
+    stack: list[tuple[Configuration, list[Message], list[Transition]]] = [
+        (initial, list(initial.heads), [])
+    ]
     while stack:
-        config, out = stack[-1]
-        if len(out) < len(config.heads):
-            transition = step(config, config.heads[len(out)], selector=selector)
+        config, heads, out = stack[-1]
+        if len(out) < len(heads):
+            transition = step(config, heads[len(out)], selector=selector)
             target = nodes.get(transition.target)
             if target is None:
                 target = nodes[transition.target] = transition.target
-                if len(stack) >= max_transitions and target.heads:
+                target_heads = heads.copy()
+                target.update_heads(target_heads)
+                if len(stack) >= max_transitions and target_heads:
                     raise StateSpaceLimitError(too_long)
-                stack.append((target, []))
+                stack.append((target, target_heads, []))
             elif target is not transition.target:
                 transition = replace(transition, target=target)
             out.append(transition)

@@ -19,6 +19,14 @@ from functools import cache
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Union
 
+try:  # hashlib loads OpenSSL, which is heavy; like random, take the lean built-in first
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
+
 if TYPE_CHECKING:
     from .registry import Registry
 
@@ -547,14 +555,15 @@ class Configuration:
     The pool is a set of per-channel FIFO queues, so its one canonical form
     groups messages by (receiver, sender) channel, channels in that order,
     oldest first within a channel; the constructor accepts any order across
-    channels.  Equality and hash cover only that form.  ``heads`` holds the
-    oldest message of every channel, sorted by :meth:`Message.sort_key`.
+    channels.  Equality and hash cover only that form, and :attr:`heads`
+    is derived from it.
 
     :meth:`advance` builds a target from its source by visiting only the
     consumed channel, the emitted channels and the replaced actors, besides
     copying the actor and pool tuples: it shares the address index while the
-    address set is unchanged, derives the heads from the source's, and
-    records which addresses it replaced, which :meth:`changes` then visits.
+    address set is unchanged, and records which addresses it replaced, which
+    :meth:`changes` then visits, and which messages left and joined the
+    heads, which :meth:`update_heads` then applies.
     """
 
     actors: tuple[tuple[str, ActorSnapshot], ...]
@@ -562,9 +571,11 @@ class Configuration:
     # address -> position in actors, shared by every configuration with the
     # same address set
     _index: dict[str, int] = field(init=False, repr=False)
-    heads: tuple[Message, ...] = field(init=False, repr=False)
     # (source actors, replaced addresses) for a target built by advance
     _origin: tuple | None = field(init=False, repr=False)
+    # (the head that left or None, *the messages that became heads) for a
+    # target built by advance
+    _moved: tuple | None = field(init=False, repr=False)
     _hash: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -573,16 +584,15 @@ class Configuration:
         if len(index) != len(actors):
             raise ValueError("actor addresses must be unique")
         pool = tuple(sorted(self.undelivered, key=CHANNEL_KEY))  # stable: FIFO within a channel
-        first = {CHANNEL_KEY(m): m for m in reversed(pool)}  # each channel's oldest message
-        self._set(actors, index, pool, tuple(sorted(first.values(), key=_SORT_KEY)), None)
+        self._set(actors, index, pool, None, None)
 
-    def _set(self, actors, index, pool, heads, origin) -> None:
+    def _set(self, actors, index, pool, origin, moved) -> None:
         for name, value in (
             ("actors", actors),
             ("_index", index),
             ("undelivered", pool),
-            ("heads", heads),
             ("_origin", origin),
+            ("_moved", moved),
             ("_hash", None),
         ):
             object.__setattr__(self, name, value)
@@ -602,6 +612,22 @@ class Configuration:
     def actor(self, address: str) -> ActorSnapshot | None:
         position = self._index.get(address)
         return None if position is None else self.actors[position][1]
+
+    @property
+    def heads(self) -> tuple[Message, ...]:
+        """The deliverable messages, the oldest of each channel, sorted by
+        :meth:`Message.sort_key`."""
+        first = {CHANNEL_KEY(m): m for m in reversed(self.undelivered)}
+        return tuple(sorted(first.values(), key=_SORT_KEY))
+
+    def update_heads(self, heads: list[Message]) -> None:
+        """Turn heads, the :attr:`heads` of the configuration that
+        :meth:`advance` built this one from, into this one's, in place."""
+        left, *entered = self._moved
+        if left is not None:
+            del heads[bisect_left(heads, _SORT_KEY(left), key=_SORT_KEY)]
+        for message in entered:
+            insort(heads, message, key=_SORT_KEY)
 
     def channel(self, sender: str, receiver: str) -> tuple[Message, ...]:
         """The messages pending from sender to receiver, oldest first."""
@@ -640,16 +666,16 @@ class Configuration:
                 for address, snapshot in changed.items():
                     listed[index[address]] = (address, snapshot)
                 actors = tuple(listed)
-        pool, heads = list(self.undelivered), list(self.heads)
+        pool, moved = list(self.undelivered), [None]
         key = CHANNEL_KEY(consumed)
         lo = bisect_left(pool, key, key=CHANNEL_KEY)
         for position in range(lo, bisect_right(pool, key, lo, key=CHANNEL_KEY)):
             if pool[position] is consumed or pool[position] == consumed:
                 del pool[position]
                 if position == lo:  # the channel's head: its successor, if any, takes over
-                    del heads[bisect_left(heads, _SORT_KEY(consumed), key=_SORT_KEY)]
+                    moved[0] = consumed
                     if lo < len(pool) and CHANNEL_KEY(pool[lo]) == key:
-                        insort(heads, pool[lo], key=_SORT_KEY)
+                        moved.append(pool[lo])
                 break
         for message in emitted:
             if parse_address(message.receiver).role is Role.CLIENT:
@@ -657,11 +683,11 @@ class Configuration:
             key = CHANNEL_KEY(message)
             position = bisect_right(pool, key, key=CHANNEL_KEY)
             if position == 0 or CHANNEL_KEY(pool[position - 1]) != key:
-                insort(heads, message, key=_SORT_KEY)
+                moved.append(message)
             pool.insert(position, message)
         target = object.__new__(Configuration)
         origin = (self.actors, tuple(sorted(changed))) if changed else None
-        target._set(actors, index, tuple(pool), tuple(heads), origin)
+        target._set(actors, index, tuple(pool), origin, tuple(moved))
         return target
 
     def changes(

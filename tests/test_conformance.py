@@ -2,6 +2,7 @@ import collections
 import copy
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -342,6 +343,38 @@ class TestAcceptedTransitions:
         transition = engine.step(source, notify)
         assert transition.rule is RuleId.R4B_NOTIFY_SOME_PENDING
         assert only_notes(source, transition) == []
+
+    def test_an_invoke_at_an_activity_without_inputs_fires_no_rule(self, minimal_one):
+        """R6 needs the activity's inputs in the engine as in the relation:
+        at a Preparing activity without them, rule_for, enabled and step all
+        refuse the invoke, and the relation rejects an R6 step there."""
+        graph = engine.explore_graph(
+            minimal_one.workflow, minimal_one.registry, minimal_one.requests, 200
+        )
+        node, invoke = next(
+            (node, m)
+            for node in graph.edges
+            for m in node.heads
+            if m.kind is MessageKind.INVOKE
+        )
+        invocation = engine.step(node, invoke)
+        assert invocation.rule is RuleId.R6_AA_INVOKE
+
+        def first_without_inputs(instance):
+            first = dataclasses.replace(instance.activities[0], input_parameters=None)
+            return instance.with_activity(first)
+
+        source = with_instance(node, first_without_inputs)
+        assert next(source.instances())[1].activities[0].state is ActivityState.PREPARING
+        refusal = "no rule consumes invoke at 'aa:c1:Echo Input' (state Preparing)"
+        with pytest.raises(engine.NoRuleError, match=re.escape(refusal)):
+            engine.rule_for(source, invoke)
+        with pytest.raises(engine.NoRuleError, match=re.escape(refusal)):
+            engine.enabled(source)
+        with pytest.raises(engine.NoRuleError, match=re.escape(refusal)):
+            engine.step(source, invoke)
+        forged = dataclasses.replace(invocation, source=source)
+        assert (P_RULE_REPLAY, 0, refusal) in only_notes(source, forged)
 
 
 def created(records):

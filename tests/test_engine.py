@@ -614,9 +614,9 @@ class TestExploreGraph:
 
 
 class TestCanonicalConfiguration:
-    """advance derives a target's canonical pool, deliverable heads, address
-    index and changed addresses from its source; building the same
-    configuration from scratch must agree in every respect."""
+    """advance derives a target's canonical pool, address index and changed
+    addresses from its source; building the same configuration from scratch
+    must agree in every respect.  TestCarriedHeads covers the heads."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -638,7 +638,6 @@ class TestCanonicalConfiguration:
                 undelivered=tuple(sorted(config.undelivered, key=lambda m: (m.sender, m.receiver))),
             )
             assert config == rebuilt and hash(config) == hash(rebuilt)
-            assert config.heads == rebuilt.heads
             assert enabled(config) == enabled(rebuilt)
             assert source.changes(config) == source.changes(rebuilt)
             assert config.changes(source) == rebuilt.changes(source)
@@ -669,3 +668,51 @@ class TestCanonicalConfiguration:
             trace = run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, seed=0)
             per_step[clients] = calls / len(trace)
         assert per_step[40] <= per_step[10] + 1
+
+
+def checking_update_heads(checked):
+    """Configuration.update_heads that appends each configuration it updates
+    heads for to checked, after asserting that the heads it leaves are the
+    ones the configuration derives from its pool."""
+    original = Configuration.update_heads
+
+    def update_heads(self, heads):
+        original(self, heads)
+        assert heads == list(self.heads)
+        checked.append(self)
+
+    return update_heads
+
+
+class TestCarriedHeads:
+    """run and explore_graph carry each configuration's heads beside it and
+    update them from what advance recorded; they must be the heads the
+    configuration derives from its pool."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_run_carries_the_heads_of_every_configuration(
+        self, data, minimal_two, pair_two_denied, bookstore_feasible
+    ):
+        fixture_set = data.draw(st.sampled_from([minimal_two, pair_two_denied, bookstore_feasible]))
+        checked = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Configuration, "update_heads", checking_update_heads(checked))
+            trace = run(
+                fixture_set.workflow,
+                fixture_set.registry,
+                fixture_set.requests,
+                seed=data.draw(st.integers(0, 2**32 - 1)),
+            )
+        assert [id(config) for config in checked] == [id(t.target) for t in trace.steps]
+
+    @pytest.mark.parametrize("key", sorted(EXPLORED_FIXTURES))
+    def test_explore_carries_the_heads_of_every_node(self, key, monkeypatch, request):
+        fixture_set = request.getfixturevalue(EXPLORED_FIXTURES[key])
+        checked = []
+        monkeypatch.setattr(Configuration, "update_heads", checking_update_heads(checked))
+        graph = explore_graph(
+            fixture_set.workflow, fixture_set.registry, fixture_set.requests, 200
+        )
+        nodes = {id(node) for node in graph.edges if node is not graph.initial}
+        assert len(checked) == len(nodes) and {id(node) for node in checked} == nodes
