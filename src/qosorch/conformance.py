@@ -64,6 +64,7 @@ from .model import (
     WsoRequest,
     activity_address,
     activity_state_can_follow,
+    channel_owner,
     client_address,
     get_aa,
     get_wsoi,
@@ -480,9 +481,19 @@ def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
     does not do what that row does.  The row's effect and the client-bound
     replies the transition emits must be the only changes, the emitted
     messages must be the row's, and the target pool must be the source pool
-    less the consumed message plus the other emitted messages."""
+    less the consumed message plus the other emitted messages: the pools of
+    the owners of those channels are rebuilt, and every other owner's must
+    be the source's."""
     source, message = t.source, t.message
-    pool = list(source.undelivered)
+    pools: dict[str | None, list[Message]] = {}  # owner -> its pool in the target
+
+    def pool_of(m: Message) -> list[Message]:
+        owner = channel_owner(m.sender, m.receiver)
+        if owner not in pools:
+            pools[owner] = list(source.pool(owner))
+        return pools[owner]
+
+    pool = pool_of(message)
     head = bisect_left(pool, CHANNEL_KEY(message), key=CHANNEL_KEY)
     if head == len(pool) or (pool[head] is not message and pool[head] != message):
         if message in source.channel(message.sender, message.receiver):
@@ -516,6 +527,7 @@ def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
     changed = {} if updated is None else {instance_address(message.client_id): updated}
     for out in t.emitted:
         if parse_address(out.receiver).role is not Role.CLIENT:
+            pool = pool_of(out)
             pool.insert(bisect_right(pool, CHANNEL_KEY(out), key=CHANNEL_KEY), out)
             continue
         record = changed.get(out.receiver) or source.actor(out.receiver)
@@ -531,7 +543,9 @@ def _relation_notes(t: Transition, changes: list) -> list[tuple[str, str]]:
     for address, snapshot in changed.items():  # the target kept the source's snapshot
         if snapshot != source.actor(address):
             notes.append((P_RULE_REPLAY, f"{address!r} is not the snapshot {rule.value} leaves"))
-    if t.target.undelivered != tuple(pool):
+    if not t.target.same_pools(source, but=pools) or any(
+        t.target.pool(owner) != tuple(pool) for owner, pool in pools.items()
+    ):
         witness = "target pool is not the source pool less the consumed plus the emitted messages"
         notes.append((P_RULE_REPLAY, witness))
     return notes
@@ -577,7 +591,8 @@ def _creation_notes(initial: Configuration, transition: Transition) -> list[tupl
     a field-exact one."""
     request_msg = transition.message
     cid = request_msg.client_id
-    if request_msg not in _seeded_requests(initial):
+    seeded = initial.channel(request_msg.sender, request_msg.receiver)
+    if request_msg.kind is not MessageKind.WSO_REQUEST or request_msg not in seeded:
         return [(P_UNIQUE_CREATION, f"request {cid!r} is not a seeded request")]
     if get_wsoi(transition.source, cid) is not None:
         return [(P_UNIQUE_CREATION, f"request {cid!r} already has an instance")]

@@ -15,15 +15,19 @@ actor's ``before`` matches the source configuration, the parts of its
 ``after`` that repeat ``before`` (an instance's request and activities, a
 client's received messages), and a consumed message that repeats a pending
 one, are taken from the source instead of parsed again.  The result equals
-a plain parse.  One identity memo per read call (:class:`_Memo`) records
-each request, activity and message object once; a snapshot is the
-``before`` of at most one change, so its own record is built only there.
+a plain parse.  Beside the traces it builds, a read call keeps only what the
+current configuration needs (:class:`_ReadMemo`): the canonical record of
+the snapshot now at each address, which takes its parts' records from the
+address's previous record, the records of the pending messages it compared
+until they are consumed, and one object per distinct string, params value
+and QoS value it parsed.  So each request, activity and message record is
+built once per object.
 
-The trace writer encodes each part once: a memo of the same kind per write
-call holds the JSON text of each activity, request and message, initial
-configuration and shared transition, and each address's latest snapshot is
-kept with its text, so a ``before`` reuses the text of the ``after`` it
-repeats.  Lines are joined from these texts, byte for byte what
+The trace writer encodes each part once: an identity memo per write call
+(:class:`_Memo`) holds the JSON text of each activity, request and message,
+initial configuration and shared transition, and each address's latest
+snapshot is kept with its text, so a ``before`` reuses the text of the
+``after`` it repeats.  Lines are joined from these texts, byte for byte what
 ``json.dumps(record, sort_keys=True)`` gives.
 """
 
@@ -128,8 +132,8 @@ def _params_record(params: Params | None) -> dict | None:
     return None if params is None else dict(params)
 
 
-def _params_value(value: dict | None) -> Params | None:
-    return None if value is None else freeze_params(value)
+def _params_value(value: dict | None, values: _Reading) -> Params | None:
+    return None if value is None else values.share(freeze_params(value))
 
 
 def _text(record: dict, key: str, *, optional: bool = False) -> str | None:
@@ -138,6 +142,25 @@ def _text(record: dict, key: str, *, optional: bool = False) -> str | None:
     if not isinstance(value, str) and not (optional and value is None):
         raise TypeError(f"{key!r} must be a string, got {value!r}")
     return value
+
+
+class _Reading:
+    """How a parse makes values and records: each one anew.  Its subclass
+    :class:`_ReadMemo` shares and keeps them within one read call."""
+
+    def share(self, value):
+        """value, a string or a params tuple, or an equal one to use instead."""
+        return value
+
+    def qos(self, record: dict) -> QoSSpec:
+        return qos_from_record(record)
+
+    def pending_record(self, message: Message) -> dict:
+        """The canonical record of a pending message."""
+        return message_to_record(message)
+
+
+_PLAIN = _Reading()
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +195,29 @@ def message_to_record(message: Message) -> dict:
     return record
 
 
-def message_from_record(record: dict) -> Message:
+def message_from_record(record: dict, values: _Reading = _PLAIN) -> Message:
+    share = values.share
     try:
         assignment = None
         if "assignment" in record:
             assignment = tuple(
                 AllocatedBinding(
-                    aa_name=item["aa_name"],
-                    candidate_id=item["candidate_id"],
-                    qos=qos_from_record(item["qos"]),
+                    aa_name=share(item["aa_name"]),
+                    candidate_id=share(item["candidate_id"]),
+                    qos=values.qos(item["qos"]),
                 )
                 for item in record["assignment"]
             )
         return Message(
             kind=MessageKind(record["kind"]),
-            sender=_text(record, "sender"),
-            receiver=_text(record, "receiver"),
-            client_id=_text(record, "client_id"),
-            ontology=_text(record, "ontology", optional=True),
-            qos=qos_from_record(record["qos"]) if "qos" in record else None,
-            params=_params_value(record.get("params")),
+            sender=share(_text(record, "sender")),
+            receiver=share(_text(record, "receiver")),
+            client_id=share(_text(record, "client_id")),
+            ontology=share(_text(record, "ontology", optional=True)),
+            qos=values.qos(record["qos"]) if "qos" in record else None,
+            params=_params_value(record.get("params"), values),
             assignment=assignment,
-            aa_name=_text(record, "aa_name", optional=True),
+            aa_name=share(_text(record, "aa_name", optional=True)),
             aa_state=ActivityState(record["aa_state"]) if "aa_state" in record else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -247,13 +271,13 @@ def request_to_record(request: WsoRequest) -> dict:
     }
 
 
-def request_from_record(record: dict) -> WsoRequest:
+def request_from_record(record: dict, values: _Reading = _PLAIN) -> WsoRequest:
     try:
         return WsoRequest(
-            client_id=record["client_id"],
-            ontology=record["ontology"],
-            input_parameters=freeze_params(record["input_parameters"]),
-            qos=qos_from_record(record["qos"]),
+            client_id=values.share(record["client_id"]),
+            ontology=values.share(record["ontology"]),
+            input_parameters=values.share(freeze_params(record["input_parameters"])),
+            qos=values.qos(record["qos"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad request record: {exc}") from exc
@@ -292,20 +316,20 @@ def _activity_record(aa: ActivityActor) -> dict:
     }
 
 
-def _activity_from_record(record: dict) -> ActivityActor:
-    ws = record["ws"]
+def _activity_from_record(record: dict, values: _Reading) -> ActivityActor:
+    ws, share = record["ws"], values.share
     return ActivityActor(
-        aa_name=_text(record, "aa_name"),
-        wsoi_id=record["wsoi_id"],
-        qos=None if record["qos"] is None else qos_from_record(record["qos"]),
-        input_parameters=_params_value(record["input_parameters"]),
-        output_parameters=_params_value(record["output_parameters"]),
+        aa_name=share(_text(record, "aa_name")),
+        wsoi_id=share(record["wsoi_id"]),
+        qos=None if record["qos"] is None else values.qos(record["qos"]),
+        input_parameters=_params_value(record["input_parameters"], values),
+        output_parameters=_params_value(record["output_parameters"], values),
         state=ActivityState(record["state"]),
         ws=WsBinding(
-            endpoint=ws["endpoint"],
+            endpoint=share(ws["endpoint"]),
             advertised_qos=None
             if ws["advertised_qos"] is None
-            else qos_from_record(ws["advertised_qos"]),
+            else values.qos(ws["advertised_qos"]),
         ),
     )
 
@@ -376,8 +400,10 @@ def _parse_shared(items, priors: Sequence, canonical: Sequence, parse) -> tuple:
     )
 
 
-def actor_from_record(record: dict, before=None, before_record: dict | None = None):
-    """An actor's (address, snapshot).
+def actor_from_record(
+    record: dict, before=None, before_record: dict | None = None, values: _Reading = _PLAIN
+):
+    """An actor's (address, snapshot), its values made by ``values``.
 
     Given the snapshot ``before`` that the record replaces and its canonical
     record ``before_record``, a part of an instance or client record that is
@@ -391,7 +417,7 @@ def actor_from_record(record: dict, before=None, before_record: dict | None = No
         raise FormatError(f"expected an actor object, got {type(record).__name__}")
     kind = record.get("type")
     try:
-        address = _text(record, "address")
+        address = values.share(_text(record, "address"))
         if kind == "manager":
             return address, ManagerState(workflow_from_record(record["workflow"]))
         if kind == "selector":
@@ -405,7 +431,7 @@ def actor_from_record(record: dict, before=None, before_record: dict | None = No
             if old is not None and _same(request, before_record["request"]):
                 request = old.request
             else:
-                request = request_from_record(request)
+                request = request_from_record(request, values)
             instance = WsoInstance(
                 request=request,
                 state=InstanceState(record["state"]),
@@ -413,20 +439,20 @@ def actor_from_record(record: dict, before=None, before_record: dict | None = No
                     record["activities"],
                     () if old is None else old.activities,
                     () if old is None else before_record["activities"],
-                    _activity_from_record,
+                    lambda item: _activity_from_record(item, values),
                 ),
-                output_parameters=_params_value(record["output_parameters"]),
+                output_parameters=_params_value(record["output_parameters"], values),
             )
             return address, instance
         if kind == "client":
             old = before if isinstance(before, ClientRecord) else None
             return address, ClientRecord(
-                client_id=record["client_id"],
+                client_id=values.share(record["client_id"]),
                 received=_parse_shared(
                     record["received"],
                     () if old is None else old.received,
                     () if old is None else before_record["received"],
-                    message_from_record,
+                    lambda item: message_from_record(item, values),
                 ),
             )
     except (KeyError, TypeError, ValueError) as exc:
@@ -435,9 +461,9 @@ def actor_from_record(record: dict, before=None, before_record: dict | None = No
 
 
 class _Memo:
-    """What one read or write call made of each object it met, made once
-    per object.  Configurations share their unchanged actors, instances
-    their unchanged request and activities, and channels and clients their
+    """What one write call made of each object it met, made once per
+    object.  Configurations share their unchanged actors, instances their
+    unchanged request and activities, and channels and clients their
     messages, so one object stands in many places.  Entries are keyed by
     identity and hold their object, so no id is reused while the memo
     lives."""
@@ -461,10 +487,10 @@ def config_to_record(
     }
 
 
-def config_from_record(record: dict) -> Configuration:
+def config_from_record(record: dict, values: _Reading = _PLAIN) -> Configuration:
     try:
-        actors = tuple(actor_from_record(item) for item in record["actors"])
-        pool = tuple(message_from_record(item) for item in record["undelivered"])
+        actors = tuple(actor_from_record(item, values=values) for item in record["actors"])
+        pool = tuple(message_from_record(item, values) for item in record["undelivered"])
         return Configuration(actors=actors, undelivered=pool)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad configuration record: {exc}") from exc
@@ -478,38 +504,119 @@ def config_from_record(record: dict) -> Configuration:
 # target configurations are reassembled by Configuration.advance, the same
 # step the engine takes.
 
-def _consumed(config: Configuration, record, part=_record_of) -> Message:
+def _consumed(config: Configuration, record, values: _Reading = _PLAIN) -> Message:
     """The message a `consumed` record names: the first message pending on
-    its channel whose canonical record, as ``part`` gives it, it is the same
-    as, else the record parsed."""
+    its channel whose canonical record, as ``values`` gives it, it is the
+    same as, else the record parsed."""
     if isinstance(record, dict):
         sender, receiver = record.get("sender"), record.get("receiver")
         if isinstance(sender, str) and isinstance(receiver, str):
             for message in config.channel(sender, receiver):
-                if _same(record, part(message, message_to_record)):
+                if _same(record, values.pending_record(message)):
                     return message
-    return message_from_record(record)
+    return message_from_record(record, values)
 
 
-def _apply_transition_record(config: Configuration, record: dict, records: _Memo) -> Transition:
-    consumed = _consumed(config, record["consumed"], records.of)
-    emitted = tuple(message_from_record(item) for item in record["emitted"])
+class _ReadMemo(_Reading):
+    """What one read call keeps beside the traces it builds, so that it
+    holds little more than the current configuration of the trace it reads:
+
+    * one object per distinct string, params value and QoS value parsed,
+      each shared only once its type is checked (a QoS value only for a pair
+      of exact ints), so that every error is the one a plain parse raises;
+    * per address, the canonical record of the snapshot now there, whose
+      parts (an instance's request and activities, a client's received
+      messages) are taken from the address's previous record where they are
+      the same objects;
+    * the records of pending messages that :func:`_consumed` compared, each
+      dropped when its message is consumed.
+
+    So each request, activity and message record is built once per object,
+    unless traces of one file interleave at an address."""
+
+    def __init__(self) -> None:
+        self._values: dict = {}
+        self._qos: dict[tuple[int, int], QoSSpec] = {}
+        self._latest: dict[str, tuple] = {}  # address -> (snapshot, its record)
+        self._pending: dict[int, tuple[Message, dict]] = {}  # by id, holding the message
+
+    def share(self, value):
+        if type(value) is str or type(value) is tuple:
+            return self._values.setdefault(value, value)
+        return value
+
+    def qos(self, record: dict) -> QoSSpec:
+        pair = record["response_time_ms"], record["cost_cents"]
+        if type(pair[0]) is not int or type(pair[1]) is not int:
+            return QoSSpec(*pair)
+        spec = self._qos.get(pair)
+        if spec is None:
+            spec = self._qos[pair] = QoSSpec(*pair)
+        return spec
+
+    def pending_record(self, message: Message) -> dict:
+        entry = self._pending.get(id(message))
+        if entry is None:
+            entry = self._pending[id(message)] = (message, message_to_record(message))
+        return entry[1]
+
+    def consume(self, message: Message) -> None:
+        self._pending.pop(id(message), None)
+
+    def actor_record(self, address: str, snapshot) -> dict:
+        """The canonical record of the snapshot at address, which it
+        records as the snapshot now there."""
+        entry = self._latest.get(address)
+        if entry is not None and entry[0] is snapshot:
+            return entry[1]
+        parts = {} if entry is None else _part_records(*entry)
+        record = actor_to_record(
+            address, snapshot, lambda part, to_record: parts.get(id(part)) or to_record(part)
+        )
+        self._latest[address] = (snapshot, record)
+        return record
+
+    def remove(self, address: str) -> None:
+        self._latest.pop(address, None)
+
+
+def _part_records(snapshot, record: dict) -> dict[int, dict]:
+    """The id of each part of a snapshot, mapped to its record within the
+    snapshot's canonical record."""
+    if isinstance(snapshot, WsoInstance):
+        parts = zip(
+            (snapshot.request, *snapshot.activities), (record["request"], *record["activities"])
+        )
+    elif isinstance(snapshot, ClientRecord):
+        parts = zip(snapshot.received, record["received"])
+    else:
+        return {}
+    return {id(part): part_record for part, part_record in parts}
+
+
+def _apply_transition_record(config: Configuration, record: dict, memo: _ReadMemo) -> Transition:
+    consumed = _consumed(config, record["consumed"], memo)
+    memo.consume(consumed)
+    emitted = tuple(message_from_record(item, memo) for item in record["emitted"])
     rule = RuleId(record["rule"])
     changed: dict[str, object] = {}  # address -> snapshot, None when removed
     for change in record["changed"]:
-        address = _text(change, "address")
+        address = memo.share(_text(change, "address"))
         prior = config.actor(address)
-        canonical = None if prior is None else actor_to_record(address, prior, records.of)
+        canonical = None if prior is None else memo.actor_record(address, prior)
         if change["before"] != canonical:
             raise FormatError(
                 f"changed actor {address!r}: 'before' differs from the source's snapshot"
             )
         if change["after"] is None:
             changed[address] = None
+            memo.remove(address)
             continue
-        after_address, changed[address] = actor_from_record(change["after"], prior, canonical)
+        after_address, after = actor_from_record(change["after"], prior, canonical, memo)
         if after_address != address:
             raise FormatError(f"changed actor {address!r}: 'after' is at {after_address!r}")
+        changed[address] = after
+        memo.actor_record(address, after)
     target = config.advance(consumed, changed, emitted)
     return Transition(source=config, rule=rule, message=consumed, target=target, emitted=emitted)
 
@@ -538,7 +645,7 @@ def _reassemble(numbered: Iterable[tuple[int, dict]], path: str | Path) -> list[
             raise error(line, f"{where}: trace index {index!r} is not an integer")
         return index
 
-    records = _Memo()
+    memo = _ReadMemo()
     # trace index -> (line, initial, steps so far, held records by transition index)
     by_trace: dict[int, tuple[int, Configuration, list[Transition], dict[int, tuple]]] = {}
     for line, record in numbered:
@@ -549,7 +656,7 @@ def _reassemble(numbered: Iterable[tuple[int, dict]], path: str | Path) -> list[
             if "initial" not in record:
                 raise error(line, f"trace {index}: trace record without an initial configuration")
             try:
-                by_trace[index] = (line, config_from_record(record["initial"]), [], {})
+                by_trace[index] = (line, config_from_record(record["initial"], memo), [], {})
             except FormatError as exc:
                 raise error(line, f"trace {index}: {exc}") from exc
         elif record["record"] == "transition":
@@ -569,7 +676,7 @@ def _reassemble(numbered: Iterable[tuple[int, dict]], path: str | Path) -> list[
                 next_line, next_record = held.pop(len(steps))
                 config = steps[-1].target if steps else initial
                 try:
-                    steps.append(_apply_transition_record(config, next_record, records))
+                    steps.append(_apply_transition_record(config, next_record, memo))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise error(next_line, f"trace {index}, transition {len(steps)}: {exc}") from exc
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from collections.abc import Collection, Iterable, Iterator, Mapping
+from dataclasses import dataclass, replace
 from functools import cache
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Union
@@ -79,6 +79,10 @@ class QoSSpec:
 # State machines
 
 class InstanceState(enum.Enum):
+    # A member equals only itself, so the identity hash agrees with equality
+    # and, unlike Enum.__hash__, runs no Python code.
+    __hash__ = object.__hash__
+
     WAITING = "Waiting"
     GRANTED = "Granted"
     DENIED = "Denied"
@@ -100,6 +104,8 @@ INSTANCE_SUCCESSORS: dict[InstanceState, frozenset[InstanceState]] = {
 
 
 class ActivityState(enum.Enum):
+    __hash__ = object.__hash__  # as InstanceState's
+
     PREPARING = "Preparing"
     INVOKING = "Invoking"
     RETURNED = "Returned"
@@ -282,6 +288,8 @@ SS_ADDRESS = "ss"
 
 
 class Role(enum.Enum):
+    __hash__ = object.__hash__  # as InstanceState's
+
     MANAGER = "manager"
     SELECTOR = "selector"
     CLIENT = "client"
@@ -348,6 +356,8 @@ def parse_address(address: str) -> Address:
 # Messages
 
 class MessageKind(enum.Enum):
+    __hash__ = object.__hash__  # as InstanceState's
+
     WSO_REQUEST = "wsoReq"
     SELECT = "select"
     SELECT_REPLY_GRANTED = "selectReplyGranted"
@@ -548,7 +558,41 @@ _SORT_KEY = attrgetter("kind._value_", "sender", "receiver", "client_id")
 _ADDRESS = itemgetter(0)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+def channel_owner(sender: str, receiver: str) -> str | None:
+    """The client that owns the channel from sender to receiver: the client
+    id of the receiver's address, else the one of the sender's; None for a
+    channel of no client."""
+    owner = parse_address(receiver).client_id
+    return parse_address(sender).client_id if owner is None else owner
+
+
+class _Component:
+    """The actors of one owner, ordered by address, and the channels it
+    owns, in the pool's canonical order (see Configuration).  It is never
+    changed once built, so its hash is computed once."""
+
+    __slots__ = ("actors", "pool", "_hash")
+
+    def __init__(self, actors: tuple, pool: tuple) -> None:
+        self.actors, self.pool, self._hash = actors, pool, None
+
+    def __eq__(self, other: _Component) -> bool:  # compared only with components
+        return self is other or (self.actors == other.actors and self.pool == other.pool)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.actors, self.pool))
+        return self._hash
+
+
+_NOBODY = _Component((), ())
+
+
+def _owner_order(owner: str | None) -> tuple[bool, str]:
+    """No client first, then client ids in order."""
+    return owner is not None, owner or ""
+
+
 class Configuration:
     """A snapshot of all actors plus the pool of undelivered messages.
 
@@ -558,66 +602,117 @@ class Configuration:
     channels.  Equality and hash cover only that form, and :attr:`heads`
     is derived from it.
 
-    :meth:`advance` builds a target from its source by visiting only the
-    consumed channel, the emitted channels and the replaced actors, besides
-    copying the actor and pool tuples: it shares the address index while the
-    address set is unchanged, and records which addresses it replaced, which
-    :meth:`changes` then visits, and which messages left and joined the
-    heads, which :meth:`update_heads` then applies.
+    Both are held by owner.  An actor's owner is the client id of its
+    address, and a channel's is given by :func:`channel_owner`; the manager
+    and the selector belong to no client.  The actors and channels of no
+    client form one component, and those of each client another, kept in
+    client-id order after it; a component is immutable and shared by every
+    configuration that holds it.  The owner is a function of the address
+    and of the channel, so equal configurations have equal components, and
+    the hash combines the cached hashes of the components.  :attr:`actors`
+    and :attr:`undelivered` are flat views, built on demand.
+
+    :meth:`advance` builds a target from its source by rebuilding only the
+    components of the consumed channel, the emitted channels and the
+    replaced actors, and sharing the others: it records which addresses it
+    replaced, which :meth:`changes` then visits, and which messages left
+    and joined the heads, which :meth:`update_heads` then applies.
     """
 
-    actors: tuple[tuple[str, ActorSnapshot], ...]
-    undelivered: tuple[Message, ...] = ()
-    # address -> position in actors, shared by every configuration with the
-    # same address set
-    _index: dict[str, int] = field(init=False, repr=False)
-    # (source actors, replaced addresses) for a target built by advance
-    _origin: tuple | None = field(init=False, repr=False)
-    # (the head that left or None, *the messages that became heads) for a
-    # target built by advance
-    _moved: tuple | None = field(init=False, repr=False)
-    _hash: int | None = field(init=False, repr=False)
+    __slots__ = ("_parts", "_index", "_source", "_replaced", "_moved", "_hash")
 
-    def __post_init__(self) -> None:
-        actors = tuple(sorted(self.actors, key=_ADDRESS))
-        index = {address: position for position, (address, _) in enumerate(actors)}
-        if len(index) != len(actors):
-            raise ValueError("actor addresses must be unique")
-        pool = tuple(sorted(self.undelivered, key=CHANNEL_KEY))  # stable: FIFO within a channel
-        self._set(actors, index, pool, None, None)
+    # _parts: the non-empty components, by _owner_order; _index: owner ->
+    # position in _parts, which a target shares with its source while the
+    # owners stay the same.  For a target built by advance, _source is the
+    # source, _replaced the addresses it replaced and _moved (the head that
+    # left or None, *the messages that became heads).
 
-    def _set(self, actors, index, pool, origin, moved) -> None:
-        for name, value in (
-            ("actors", actors),
-            ("_index", index),
-            ("undelivered", pool),
-            ("_origin", origin),
-            ("_moved", moved),
-            ("_hash", None),
-        ):
-            object.__setattr__(self, name, value)
+    def __init__(
+        self,
+        actors: Iterable[tuple[str, ActorSnapshot]],
+        undelivered: Iterable[Message] = (),
+    ) -> None:
+        grouped: dict[str | None, tuple[list, list]] = {}
+        for pair in actors:
+            grouped.setdefault(parse_address(pair[0]).client_id, ([], []))[0].append(pair)
+        for message in undelivered:
+            owner = channel_owner(message.sender, message.receiver)
+            grouped.setdefault(owner, ([], []))[1].append(message)
+        components = {}
+        for owner, (listed, pool) in grouped.items():
+            listed.sort(key=_ADDRESS)
+            if any(a[0] == b[0] for a, b in zip(listed, listed[1:])):
+                raise ValueError("actor addresses must be unique")
+            pool.sort(key=CHANNEL_KEY)  # stable: FIFO within a channel
+            components[owner] = _Component(tuple(listed), tuple(pool))
+        owners = sorted(components, key=_owner_order)
+        parts = tuple(components[owner] for owner in owners)
+        self._set(parts, dict(zip(owners, range(len(owners)))), None, (), None)
+
+    def _set(self, parts, index, source, replaced, moved) -> None:
+        self._parts, self._index = parts, index
+        self._source, self._replaced, self._moved, self._hash = source, replaced, moved, None
+
+    def _component(self, owner: str | None) -> _Component:
+        position = self._index.get(owner)
+        return _NOBODY if position is None else self._parts[position]
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.actors == other.actors and self.undelivered == other.undelivered
+        return self is other or self._parts == other._parts
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.actors, self.undelivered)))
+            self._hash = hash(self._parts)
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"Configuration(actors={self.actors!r}, undelivered={self.undelivered!r})"
+
+    @property
+    def actors(self) -> tuple[tuple[str, ActorSnapshot], ...]:
+        """Every (address, snapshot), ordered by address."""
+        pairs = (pair for component in self._parts for pair in component.actors)
+        return tuple(sorted(pairs, key=_ADDRESS))
+
+    @property
+    def undelivered(self) -> tuple[Message, ...]:
+        """The pool in its canonical form."""
+        return tuple(sorted(self._messages(), key=CHANNEL_KEY))  # stable: FIFO within a channel
+
+    def _messages(self) -> list[Message]:
+        return [message for component in self._parts for message in component.pool]
+
     def actor(self, address: str) -> ActorSnapshot | None:
-        position = self._index.get(address)
-        return None if position is None else self.actors[position][1]
+        for pair in self._component(parse_address(address).client_id).actors:  # a handful
+            if pair[0] == address:
+                return pair[1]
+        return None
+
+    def pool(self, owner: str | None) -> tuple[Message, ...]:
+        """The messages of the channels that owner owns, in canonical order."""
+        return self._component(owner).pool
+
+    def same_pools(self, other: Configuration, but: Collection[str | None] = ()) -> bool:
+        """Whether every owner outside but has the same pool here as in other."""
+        index = self._index
+        if index is other._index:  # first compare components, mostly by identity
+            parts = list(self._parts)
+            for owner in but:
+                position = index.get(owner)
+                if position is not None:
+                    parts[position] = other._parts[position]
+            if tuple(parts) == other._parts:
+                return True
+        owners = index.keys() | other._index.keys()
+        return all(o in but or self.pool(o) == other.pool(o) for o in owners)
 
     @property
     def heads(self) -> tuple[Message, ...]:
         """The deliverable messages, the oldest of each channel, sorted by
         :meth:`Message.sort_key`."""
-        first = {CHANNEL_KEY(m): m for m in reversed(self.undelivered)}
+        first = {CHANNEL_KEY(m): m for m in reversed(self._messages())}
         return tuple(sorted(first.values(), key=_SORT_KEY))
 
     def update_heads(self, heads: list[Message]) -> None:
@@ -631,14 +726,16 @@ class Configuration:
 
     def channel(self, sender: str, receiver: str) -> tuple[Message, ...]:
         """The messages pending from sender to receiver, oldest first."""
-        key = (receiver, sender)
-        lo = bisect_left(self.undelivered, key, key=CHANNEL_KEY)
-        return self.undelivered[lo : bisect_right(self.undelivered, key, lo, key=CHANNEL_KEY)]
+        pool, key = self.pool(channel_owner(sender, receiver)), (receiver, sender)
+        lo = bisect_left(pool, key, key=CHANNEL_KEY)
+        return pool[lo : bisect_right(pool, key, lo, key=CHANNEL_KEY)]
 
     def pending_to(self, receiver: str) -> tuple[Message, ...]:
         """The messages pending to receiver, channel by channel."""
-        lo = bisect_left(self.undelivered, receiver, key=_RECEIVER)
-        return self.undelivered[lo : bisect_right(self.undelivered, receiver, lo, key=_RECEIVER)]
+        owner = parse_address(receiver).client_id  # which owns every channel to receiver, if any
+        pool = self.undelivered if owner is None else self.pool(owner)
+        lo = bisect_left(pool, receiver, key=_RECEIVER)
+        return pool[lo : bisect_right(pool, receiver, lo, key=_RECEIVER)]
 
     def advance(
         self,
@@ -654,19 +751,30 @@ class Configuration:
         except replies to clients, whose records the caller passes among the
         changed actors.
         """
-        actors, index = self.actors, self._index
-        if changed:
-            if any(s is None for s in changed.values()) or not index.keys() >= changed.keys():
-                merged = dict(actors)
-                merged.update(changed)
-                actors = tuple(sorted((p for p in merged.items() if p[1] is not None), key=_ADDRESS))
-                index = {address: position for position, (address, _) in enumerate(actors)}
-            else:
-                listed = list(actors)
-                for address, snapshot in changed.items():
-                    listed[index[address]] = (address, snapshot)
-                actors = tuple(listed)
-        pool, moved = list(self.undelivered), [None]
+        actor_lists: dict[str | None, list] = {}  # owner -> its actors, being edited
+        for address, snapshot in changed.items():
+            owner = parse_address(address).client_id
+            listed = actor_lists.get(owner)
+            if listed is None:
+                listed = actor_lists[owner] = list(self._component(owner).actors)
+            position = bisect_left(listed, address, key=_ADDRESS)
+            present = position < len(listed) and listed[position][0] == address
+            if snapshot is not None and present:
+                listed[position] = (address, snapshot)
+            elif snapshot is not None:
+                listed.insert(position, (address, snapshot))
+            elif present:
+                del listed[position]
+        pools: dict[str | None, list[Message]] = {}  # owner -> its pool, being edited
+
+        def pool_of(message: Message) -> list[Message]:
+            owner = channel_owner(message.sender, message.receiver)
+            pool = pools.get(owner)
+            if pool is None:
+                pool = pools[owner] = list(self.pool(owner))
+            return pool
+
+        pool, moved = pool_of(consumed), [None]
         key = CHANNEL_KEY(consumed)
         lo = bisect_left(pool, key, key=CHANNEL_KEY)
         for position in range(lo, bisect_right(pool, key, lo, key=CHANNEL_KEY)):
@@ -680,14 +788,33 @@ class Configuration:
         for message in emitted:
             if parse_address(message.receiver).role is Role.CLIENT:
                 continue
-            key = CHANNEL_KEY(message)
+            pool, key = pool_of(message), CHANNEL_KEY(message)
             position = bisect_right(pool, key, key=CHANNEL_KEY)
             if position == 0 or CHANNEL_KEY(pool[position - 1]) != key:
                 moved.append(message)
             pool.insert(position, message)
+
+        rebuilt: dict[str | None, _Component | None] = {}  # owner -> its component, None if empty
+        for owner in actor_lists.keys() | pools.keys():
+            kept, listed, pool = self._component(owner), actor_lists.get(owner), pools.get(owner)
+            actors = kept.actors if listed is None else tuple(listed)
+            pool = kept.pool if pool is None else tuple(pool)
+            rebuilt[owner] = _Component(actors, pool) if actors or pool else None
+        parts, index = self._parts, self._index
+        if all(component is not None and owner in index for owner, component in rebuilt.items()):
+            listed = list(parts)
+            for owner, component in rebuilt.items():
+                listed[index[owner]] = component
+            parts = tuple(listed)
+        else:  # an owner gains its first or loses its last actor and channel
+            merged = dict(zip(index, parts))
+            merged.update(rebuilt)
+            owners = [owner for owner, component in merged.items() if component is not None]
+            owners.sort(key=_owner_order)
+            parts = tuple(merged[owner] for owner in owners)
+            index = dict(zip(owners, range(len(owners))))
         target = object.__new__(Configuration)
-        origin = (self.actors, tuple(sorted(changed))) if changed else None
-        target._set(actors, index, tuple(pool), origin, tuple(moved))
+        target._set(parts, index, self, tuple(sorted(changed)), tuple(moved))
         return target
 
     def changes(
@@ -696,14 +823,16 @@ class Configuration:
         """The actors ``target`` adds, removes or replaces with an unequal
         snapshot, as (address, before, after) ordered by address; ``None``
         stands for an absent actor."""
-        if target.actors is self.actors:
-            return []
-        if target._origin is not None and target._origin[0] is self.actors:
-            candidates = [(a, self.actor(a), target.actor(a)) for a in target._origin[1]]
+        if target._source is self:
+            candidates = [(a, self.actor(a), target.actor(a)) for a in target._replaced]
         else:
-            before = dict(self.actors)
-            candidates = [(a, before.pop(a, None), after) for a, after in target.actors]
-            candidates.extend((a, prior, None) for a, prior in before.items())
+            candidates = []
+            for owner in self._index.keys() | target._index.keys():
+                before, after = self._component(owner).actors, target._component(owner).actors
+                if before is not after:
+                    prior = dict(before)
+                    candidates.extend((a, prior.pop(a, None), s) for a, s in after)
+                    candidates.extend((a, s, None) for a, s in prior.items())
             candidates.sort(key=_ADDRESS)
         return [c for c in candidates if c[1] is not c[2] and c[1] != c[2]]
 
@@ -762,6 +891,8 @@ def resolves(config: Configuration, address: str) -> bool:
 # Transitions and traces
 
 class RuleId(enum.Enum):
+    __hash__ = object.__hash__  # as InstanceState's
+
     R1_WSOIM_CREATE = "R1_WsoimCreate"
     R2A_SELECT_DENIED = "R2a_SelectDenied"
     R2B_SELECT_GRANTED = "R2b_SelectGranted"

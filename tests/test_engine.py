@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from qosorch import engine
+from qosorch import conformance, engine, formats, model
 from qosorch.engine import (
     EngineError,
     MessageNotPendingError,
@@ -22,14 +22,18 @@ from qosorch.engine import (
 )
 from qosorch.model import (
     ActivityState,
+    ClientRecord,
     Configuration,
     InstanceState,
+    ManagerState,
     Message,
     MessageKind,
     QoSSpec,
     RuleId,
     SS_ADDRESS,
+    SelectorState,
     WSOIM_ADDRESS,
+    WsoInstance,
     WsoRequest,
     build_message,
     client_address,
@@ -321,7 +325,7 @@ class TestRuleDeterminism:
             partial_grant,
             unbound_service,
         )
-        polluted = dataclasses.replace(config, undelivered=config.undelivered + refused)
+        polluted = Configuration(config.actors, config.undelivered + refused)
         for message in refused:
             with pytest.raises(NoRuleError):
                 rule_for(polluted, message)
@@ -330,9 +334,7 @@ class TestRuleDeterminism:
         with pytest.raises(NoRuleError, match="'ws:c1:missing'"):
             step(polluted, unknown_service)
         # enabled lists only what step takes, so it refuses the orphan select.
-        with_orphan = dataclasses.replace(
-            config, undelivered=config.undelivered + (orphan_select,)
-        )
+        with_orphan = Configuration(config.actors, config.undelivered + (orphan_select,))
         with pytest.raises(NoRuleError, match=r"no rule consumes select at 'ss' \(state None\)"):
             enabled(with_orphan)
 
@@ -668,6 +670,55 @@ class TestCanonicalConfiguration:
             trace = run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, seed=0)
             per_step[clients] = calls / len(trace)
         assert per_step[40] <= per_step[10] + 1
+
+    def test_per_step_tuple_work_does_not_grow_with_clients(
+        self, bookstore_feasible, monkeypatch, tmp_path
+    ):
+        """Count the actor entries and pool messages of every tuple and list
+        that model, engine and conformance build with tuple() or list(), per
+        step of engine.run, read_traces and check_behavior: a step that
+        copies or sorts the whole pool or the whole actor set makes the count
+        grow with the number of clients.  References to other containers,
+        such as per-client components, are not counted."""
+        snapshots = (ManagerState, SelectorState, WsoInstance, ClientRecord)
+        entries = 0
+
+        def counted(build):
+            def wrapper(*args):
+                nonlocal entries
+                built = build(*args)
+                entries += sum(
+                    isinstance(x, Message)
+                    or (type(x) is tuple and len(x) == 2 and isinstance(x[1], snapshots))
+                    for x in built
+                )
+                return built
+
+            return wrapper
+
+        for module in (model, engine, conformance):
+            for build in (tuple, list):
+                monkeypatch.setattr(module, build.__name__, counted(build), raising=False)
+        per_step = {}
+        for clients in (10, 160):
+            requests = [
+                dataclasses.replace(bookstore_feasible.requests[0], client_id=f"c{i:03d}")
+                for i in range(clients)
+            ]
+            path = tmp_path / f"run-{clients}.jsonl"
+            entries = 0
+            trace = run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, seed=0)
+            counts = {"run": entries}
+            formats.write_traces([trace], path)
+            entries = 0
+            (read,) = formats.read_traces(path)
+            counts["read_traces"] = entries
+            entries = 0
+            assert conformance.check_behavior([read]).passed
+            counts["check_behavior"] = entries
+            per_step[clients] = {phase: count / len(trace) for phase, count in counts.items()}
+        for phase, count in per_step[160].items():
+            assert count <= per_step[10][phase] + 1, (phase, per_step)
 
 
 def checking_update_heads(checked):

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import gc
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -380,6 +382,40 @@ class TestSharingReader:
             monkeypatch.setattr(formats, name, counted(getattr(formats, name)))
         assert formats.read_traces(path) == [trace]
         assert len(builds) > 40 and max(builds.values()) == 1
+
+    def test_the_reader_holds_no_more_than_the_run_it_reads(self, bookstore_feasible, tmp_path):
+        """On the 40-client run, measured with tracemalloc after a collection:
+        the traces read back hold at most 1.1 times the bytes of the trace
+        engine.run built, and the reader's peak exceeds what it returns by at
+        most 0.3 times those bytes, which its per-address records and shared
+        values stay within."""
+        requests = [
+            dataclasses.replace(bookstore_feasible.requests[0], client_id=f"c{i:02d}")
+            for i in range(40)
+        ]
+        path = tmp_path / "trace.jsonl"
+
+        def held() -> int:
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            start = held()
+            trace = engine.run(bookstore_feasible.workflow, bookstore_feasible.registry, requests, 0)
+            run_bytes = held() - start
+            formats.write_traces([trace], path)
+            del trace
+            start = held()
+            tracemalloc.reset_peak()
+            traces = formats.read_traces(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            read_bytes = held() - start
+        finally:
+            tracemalloc.stop()
+        assert read_bytes <= 1.1 * run_bytes, (read_bytes, run_bytes)
+        assert peak - read_bytes <= 0.3 * run_bytes, (peak, read_bytes, run_bytes)
+        assert len(traces[0]) > 1000
 
     def test_write_read_write_is_byte_identical(self, sharing_corpus, tmp_path):
         for path in sharing_corpus:
